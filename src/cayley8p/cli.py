@@ -338,6 +338,16 @@ def cmd_cycle_types(args) -> int:
     return 0
 
 
+def _workers(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayley8p",
@@ -366,9 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-oracle-p",
         type=int,
         default=oracle.DEFAULT_ORACLE_CAP,
-        help="cap for exhaustive sweeps (default 5; p=7 costs 2^28 masks x 168 maps)",
+        help="cap for exhaustive sweeps (default 5; p=7 sweeps 2^28 masks x 168 maps "
+        "in about 30 s; no cap goes past 7)",
     )
-    sp.add_argument("--workers", type=int, default=1, help="sweep parallelism; never changes results")
+    sp.add_argument(
+        "--workers",
+        type=_workers,
+        default=1,
+        help="split the sweep into N >= 1 ranges, run on at most the CPU count of threads; "
+        "never changes results",
+    )
     add_format(sp, choices=("text", "json"))
     sp.set_defaults(fn=cmd_verify)
 

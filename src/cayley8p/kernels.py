@@ -9,13 +9,17 @@ Mask images are computed from two half-tables per permutation
 Two interchangeable backends do the scan:
 
   * "numba": @njit compiled loops (fast path; optional dependency)
-  * "numpy": chunked vectorized minimum-accumulation
+  * "numpy": chunked vectorized compaction: after each permutation a
+    chunk keeps only the masks whose image is not smaller, so most masks
+    leave after a few of the permutations
 
 selected by the CAYLEY8P_BACKEND environment variable ("auto", "numba",
 "numpy"; auto prefers numba when importable).  Results are identical
 either way, and identical for any worker count: the mask space splits
-into contiguous ranges whose counts add and whose hits concatenate in
-range order.
+into contiguous ranges whose hits concatenate in range order.  One
+driver serves both entry points; the count is the number of
+representatives.  A mask is minimal when no image is smaller, so the
+identity permutation need not be among perms.
 """
 
 import os
@@ -118,28 +122,22 @@ def _fill_numba(start, stop, tlo, thi, lo_bits, lo_mask, out):  # pragma: no cov
     return written
 
 
-def _minima_chunk_numpy(masks, tlo, thi, lo_bits, lo_mask):
-    lo = masks & lo_mask
-    hi = masks >> lo_bits
-    smallest = masks.copy()
-    for a in range(tlo.shape[0]):
-        np.minimum(smallest, tlo[a][lo] | thi[a][hi], out=smallest)
-    return smallest == masks
+def _minimal_numba(start, stop, tlo, thi, lo_bits, lo_mask):  # pragma: no cover
+    out = np.empty(_count_numba(start, stop, tlo, thi, lo_bits, lo_mask), dtype=np.int64)
+    _fill_numba(start, stop, tlo, thi, lo_bits, lo_mask, out)
+    return out
 
 
-def _count_numpy(start, stop, tlo, thi, lo_bits, lo_mask):
-    count = 0
-    for lo_edge in range(start, stop, _CHUNK):
-        masks = np.arange(lo_edge, min(lo_edge + _CHUNK, stop), dtype=np.int64)
-        count += int(np.count_nonzero(_minima_chunk_numpy(masks, tlo, thi, lo_bits, lo_mask)))
-    return count
-
-
-def _fill_numpy(start, stop, tlo, thi, lo_bits, lo_mask):
+def _minimal_numpy(start, stop, tlo, thi, lo_bits, lo_mask):
+    """Minimal masks of [start, stop): a chunk sheds a mask at its first smaller image."""
     hits = []
     for lo_edge in range(start, stop, _CHUNK):
         masks = np.arange(lo_edge, min(lo_edge + _CHUNK, stop), dtype=np.int64)
-        hits.append(masks[_minima_chunk_numpy(masks, tlo, thi, lo_bits, lo_mask)])
+        for a in range(tlo.shape[0]):
+            masks = masks[(tlo[a][masks & lo_mask] | thi[a][masks >> lo_bits]) >= masks]
+            if not masks.size:
+                break
+        hits.append(masks)
     return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
 
 
@@ -148,48 +146,33 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
 
-def sweep_minimal_count(perms, workers: int = 1) -> int:
-    """Number of orbit-minimal masks under the given permutations.
+def _sweep(perms, workers: int) -> np.ndarray:
+    """The one sweep driver: orbit-minimal masks, ascending.
 
-    The identity permutation must be among perms so that minimality is
-    simply "no image is smaller".
+    The mask space splits into `workers` contiguous ranges whose hits
+    concatenate in range order; at most os.cpu_count() threads run them.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     perms = np.asarray(perms, dtype=np.int64)
     tlo, thi, lo_bits, lo_mask = bit_tables(perms)
-    total = 1 << perms.shape[1]
-    kernel = _count_numba if active_backend() == "numba" else _count_numpy
-    spans = _ranges(total, max(1, workers))
+    kernel = _minimal_numba if active_backend() == "numba" else _minimal_numpy
+    spans = _ranges(1 << perms.shape[1], workers)
     if len(spans) == 1:
-        return int(kernel(spans[0][0], spans[0][1], tlo, thi, lo_bits, lo_mask))
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [
-            pool.submit(kernel, lo, hi, tlo, thi, lo_bits, lo_mask)
-            for lo, hi in spans
-        ]
-        return sum(int(f.result()) for f in futures)
+        return kernel(*spans[0], tlo, thi, lo_bits, lo_mask)
+    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(kernel, lo, hi, tlo, thi, lo_bits, lo_mask) for lo, hi in spans]
+        return np.concatenate([f.result() for f in futures])
+
+
+def sweep_minimal_count(perms, workers: int = 1) -> int:
+    """Number of orbit-minimal masks under the given permutations."""
+    return len(_sweep(perms, workers))
 
 
 def sweep_minimal_masks(perms, workers: int = 1) -> np.ndarray:
     """The orbit-minimal masks themselves, ascending (one per orbit)."""
-    perms = np.asarray(perms, dtype=np.int64)
-    tlo, thi, lo_bits, lo_mask = bit_tables(perms)
-    total = 1 << perms.shape[1]
-    spans = _ranges(total, max(1, workers))
-    if active_backend() == "numba":
-        def run(lo, hi):
-            counted = _count_numba(lo, hi, tlo, thi, lo_bits, lo_mask)
-            out = np.empty(counted, dtype=np.int64)
-            _fill_numba(lo, hi, tlo, thi, lo_bits, lo_mask, out)
-            return out
-    else:
-        def run(lo, hi):
-            return _fill_numpy(lo, hi, tlo, thi, lo_bits, lo_mask)
-
-    if len(spans) == 1:
-        return run(*spans[0])
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in spans]
-        return np.concatenate([f.result() for f in futures])
+    return _sweep(perms, workers)
 
 
 def warmup() -> None:

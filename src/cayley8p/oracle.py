@@ -3,13 +3,18 @@
 Nothing here relies on closed-form cycle types or the assembled cycle
 index: orbit counts come from Burnside averaging over brute-force
 decompositions or from exhaustive minimal-mask sweeps; connectivity
-comes from breadth-first traversal of explicitly built graphs; the
-circulant count comes from a direct orbit scan over subsets of the
-cyclic group of order 2p.
+comes from breadth-first search over the multiplication table (a scalar
+search per graph in `is_connected`, and one bitset search over all orbit
+representatives at once in the census); the circulant count comes from
+a direct orbit scan over subsets of the cyclic group of order 2p.
 
-Exhaustive sweeps walk all 2^{4p} connection sets and are capped at
-p <= 5 by default (p = 7 means 2^28 masks times 168 permutations; pass
-a larger cap explicitly if you are prepared to wait).
+Exhaustive sweeps walk all 2^{4p} connection sets, once per (p, workers):
+the representatives are kept and both the orbit count and the census
+read them.  They are capped at p <= 5 by default.  p = 7 (2^28 masks
+times 168 permutations) takes about 30 s and under 200 MiB on the numpy
+backend with 2 vCPUs; pass a larger cap explicitly to run it.  The
+bitset census holds the 8p elements in one 64-bit word, so no cap goes
+past p = 7.
 """
 
 from collections import deque
@@ -23,15 +28,26 @@ from .kernels import sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
 
 DEFAULT_ORACLE_CAP = 5
+_BITSET_MAX_P = 7  # the census keeps the 8p elements in one uint64
 
 
 def _check_cap(p: int, cap: int) -> None:
     check_odd_prime(p)
+    if p > _BITSET_MAX_P:
+        raise ValueError(
+            f"exhaustive oracles need p <= {_BITSET_MAX_P}: the census keeps the 8p "
+            f"elements in one 64-bit word, and p={p} has {8 * p}"
+        )
     if p > cap:
         raise ValueError(
             f"exhaustive sweep at p={p} exceeds the cap {cap}: 2^{4 * p} masks; "
             f"raise the cap explicitly to proceed"
         )
+
+
+def _check_mask(p: int, mask: int, shown=None) -> None:
+    if not 0 <= mask < 1 << 4 * p:
+        raise ValueError(f"mask out of range for p={p}: {mask if shown is None else shown}")
 
 
 def burnside_count(p: int) -> int:
@@ -52,17 +68,24 @@ def burnside_count(p: int) -> int:
 
 
 def orbit_partition_count(p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1) -> int:
-    """Exhaustive orbit count: masks minimal within their orbit, counted directly."""
-    _check_cap(p, cap)
-    return sweep_minimal_count(induced_permutations(p), workers=workers)
+    """Exhaustive orbit count: the number of masks minimal within their orbit."""
+    return len(orbit_representatives(p, cap=cap, workers=workers))
+
+
+_reps_cache: dict[tuple[int, int], np.ndarray] = {}
 
 
 def orbit_representatives(
     p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
 ) -> np.ndarray:
-    """One minimal mask per orbit, ascending."""
+    """One minimal mask per orbit, ascending; swept once per (p, workers), read-only."""
     _check_cap(p, cap)
-    return sweep_minimal_masks(induced_permutations(p), workers=workers)
+    key = (p, workers)
+    if key not in _reps_cache:
+        reps = sweep_minimal_masks(induced_permutations(p), workers=workers)
+        reps.flags.writeable = False
+        _reps_cache[key] = reps
+    return _reps_cache[key]
 
 
 # ---------- explicit graphs and connectivity ----------
@@ -93,6 +116,7 @@ def build_cayley_graph(p: int, mask: int) -> CayleyGraph:
     Equivalently the neighbors of y are s*y over selected elements s, so
     rows come straight out of the multiplication table.
     """
+    _check_mask(p, mask)
     d = build_domain(p)
     table = mul_table(p)
     selected = mask_elements(d, mask)
@@ -104,6 +128,7 @@ def build_cayley_graph(p: int, mask: int) -> CayleyGraph:
 
 def is_connected(p: int, mask: int) -> bool:
     """Breadth-first traversal from the identity vertex reaches everything."""
+    _check_mask(p, mask)
     d = build_domain(p)
     table = mul_table(p)
     selected = mask_elements(d, mask)
@@ -126,6 +151,58 @@ def _reaches_all(table, selected, n_vertices: int) -> bool:
     return reached == n_vertices
 
 
+def _step_tables(p: int) -> np.ndarray:
+    """Search-step tables over element bitsets (bit v = element v).
+
+    u[j, k, y << 8 | x] is the bitset of s*v over s in the classes 4j + i
+    for the bits i of y, and v = 8k + i for the bits i of x.  So the
+    elements one step from a reached set R under a connection set S are
+    the union over j, k of u[j, k] at (nibble j of S, byte k of R).
+    """
+    d = build_domain(p)
+    table = np.asarray(mul_table(p), dtype=np.uint64)
+    step = np.zeros((4 * p, 8 * p), dtype=np.uint64)  # step[c, v]: {s*v : s in class c}
+    for c in range(4 * p):
+        for s in mask_elements(d, 1 << c):
+            step[c] |= np.uint64(1) << table[s]
+    step = step.reshape(p, 4, p, 8)  # class nibble, class bit, element byte, element bit
+    by_classes = np.zeros((p, p, 16, 8), dtype=np.uint64)
+    for i in range(4):
+        by_classes[:, :, 1 << i : 2 << i] = by_classes[:, :, : 1 << i] | step[:, i, :, None]
+    u = np.zeros((p, p, 16, 256), dtype=np.uint64)
+    for i in range(8):
+        u[..., 1 << i : 2 << i] = u[..., : 1 << i] | by_classes[..., i, None]
+    return u.reshape(p, p, 16 * 256)
+
+
+def _connected_flags(p: int, masks) -> np.ndarray:
+    """Per mask, whether breadth-first search from the identity reaches all 8p elements.
+
+    All masks advance together, one bitset step at a time; a mask leaves
+    when its reached set is everything (connected) or stops growing (it
+    is then the subgroup the set generates: disconnected).
+    """
+    u = _step_tables(p)
+    everything = np.uint64((1 << 8 * p) - 1)
+    masks = np.asarray(masks, dtype=np.int64)
+    flags = np.zeros(len(masks), dtype=bool)
+    active = np.arange(len(masks))
+    reached = np.ones(len(masks), dtype=np.uint64)  # the identity, element 0
+    while active.size:
+        selected = masks[active]
+        grown = reached.copy()
+        for j in range(p):
+            nibble = ((selected >> 4 * j) & 15).astype(np.uint64) << np.uint64(8)
+            for k in range(p):
+                grown |= u[j, k][nibble | ((reached >> np.uint64(8 * k)) & np.uint64(255))]
+        done = grown == everything
+        flags[active[done]] = True
+        growing = ~done & (grown != reached)
+        active = active[growing]
+        reached = grown[growing]
+    return flags
+
+
 _census_cache: dict[int, tuple[int, int, int]] = {}
 
 
@@ -133,26 +210,14 @@ def _classify_orbits(p: int, cap: int, workers: int) -> tuple[int, int, int]:
     """(connected, disconnected_a_only, disconnected_b_touching) orbit counts."""
     if p in _census_cache:
         return _census_cache[p]
-    d = build_domain(p)
-    table = mul_table(p)
-    members = [mask_elements(d, 1 << ci) for ci in range(len(d.classes))]
-    b_mask = ((1 << 2 * p) - 1) << 2 * p
-    connected = a_only = b_touching = 0
-    for mask in orbit_representatives(p, cap=cap, workers=workers):
-        mask = int(mask)
-        selected = []
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            selected.extend(members[low.bit_length() - 1])
-            remaining ^= low
-        if _reaches_all(table, selected, 8 * p):
-            connected += 1
-        elif mask & b_mask:
-            b_touching += 1
-        else:
-            a_only += 1
-    _census_cache[p] = (connected, a_only, b_touching)
+    reps = orbit_representatives(p, cap=cap, workers=workers)
+    connected = _connected_flags(p, reps)
+    b_touching = (reps >> 2 * p) != 0  # classes 2p and up hold the odd powers of b
+    _census_cache[p] = (
+        int(np.count_nonzero(connected)),
+        int(np.count_nonzero(~connected & ~b_touching)),
+        int(np.count_nonzero(~connected & b_touching)),
+    )
     return _census_cache[p]
 
 
@@ -200,15 +265,13 @@ def circulant_orbit_count(p: int) -> int:
 
 def mask_to_hex(p: int, mask: int) -> str:
     """Fixed-width hex (p digits: one per four classes), class 0 at bit 0."""
-    if not 0 <= mask < 1 << 4 * p:
-        raise ValueError(f"mask out of range for p={p}: {mask}")
+    _check_mask(p, mask)
     return f"{mask:0{p}x}"
 
 
 def hex_to_mask(p: int, text: str) -> int:
     mask = int(text, 16)
-    if not 0 <= mask < 1 << 4 * p:
-        raise ValueError(f"mask out of range for p={p}: {text}")
+    _check_mask(p, mask, text)
     return mask
 
 

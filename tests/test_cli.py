@@ -150,6 +150,20 @@ def test_verify_respects_oracle_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_verify_rejects_fewer_than_one_worker(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "3", "--level", "full", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_refuses_p_beyond_the_census_limit(capsys):
+    status = main(["verify", "--p", "11", "--level", "full", "--max-oracle-p", "11"])
+    assert status == 2
+    assert "p <= 7" in capsys.readouterr().err
+
+
 def test_verify_rejects_csv_format():
     with pytest.raises(SystemExit):
         main(["verify", "--p", "3", "--format", "csv"])

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from cayley8p import kernels
 from cayley8p.domain import induced_permutations
 from cayley8p.kernels import (
     ENV_FLAG,
@@ -62,6 +63,19 @@ def test_sweep_counts_induced_action_orbits():
         assert min(orbit) == m
 
 
+def test_sweep_keeps_exactly_the_orbit_minima():
+    perms = induced_permutations(3)
+    minima = [
+        m for m in range(1 << 12) if min(apply_perm_to_mask(m, perm) for perm in perms) == m
+    ]
+    assert sweep_minimal_masks(perms).tolist() == minima
+
+
+def test_sweep_ignores_the_permutation_order():
+    perms = induced_permutations(3)
+    assert np.array_equal(sweep_minimal_masks(perms[::-1]), sweep_minimal_masks(perms))
+
+
 def test_minimal_masks_agree_with_count():
     for p in (3,):
         perms = induced_permutations(p)
@@ -74,6 +88,38 @@ def test_worker_split_is_bit_identical(workers):
     assert sweep_minimal_count(perms, workers=workers) == 624
     base = sweep_minimal_masks(perms, workers=1)
     assert np.array_equal(sweep_minimal_masks(perms, workers=workers), base)
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="at least 1"):
+        sweep_minimal_count(ROTATION3, workers=workers)
+    with pytest.raises(ValueError, match="at least 1"):
+        sweep_minimal_masks(ROTATION3, workers=workers)
+
+
+def test_threads_are_bounded_by_the_cpu_count(monkeypatch):
+    pools = []
+
+    class RecordingPool(kernels.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.max_workers, self.submitted = max_workers, 0
+            pools.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    perms = induced_permutations(3)
+    base = sweep_minimal_masks(perms)
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
+    assert np.array_equal(sweep_minimal_masks(perms, workers=7), base)
+    # seven ranges, as asked, but no more threads than CPUs
+    assert [(pool.max_workers, pool.submitted) for pool in pools] == [(2, 7)]
+    sweep_minimal_masks(perms, workers=1)
+    assert len(pools) == 1  # one range runs on the calling thread
 
 
 def test_numpy_backend_matches_default(monkeypatch):

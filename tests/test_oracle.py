@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import independent_model as im
+from cayley8p import oracle
 from cayley8p.domain import build_domain, induced_permutations
 from cayley8p.group import GroupElement, element_index
 from cayley8p.kernels import apply_perm_to_mask
@@ -71,6 +72,61 @@ def test_cap_refuses_large_p():
         connected_orbit_count(7)
     with pytest.raises(ValueError):
         disconnected_census(7)
+
+
+def test_p_beyond_the_bitset_limit_is_refused_before_any_sweep(monkeypatch):
+    swept = []
+    monkeypatch.setattr(oracle, "sweep_minimal_masks", lambda *a, **k: swept.append(a))
+    for p in (11, 13):
+        for fn in (
+            orbit_partition_count,
+            orbit_representatives,
+            connected_orbit_count,
+            disconnected_census,
+        ):
+            with pytest.raises(ValueError, match="p <= 7"):
+                fn(p, cap=p)
+    assert swept == []
+
+
+def test_representatives_are_swept_once_per_p_and_workers(monkeypatch):
+    calls = []
+    original = oracle.sweep_minimal_masks
+
+    def sweep(perms, workers):
+        calls.append(workers)
+        return original(perms, workers=workers)
+
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    monkeypatch.setattr(oracle, "sweep_minimal_masks", sweep)
+    total = orbit_partition_count(3)
+    assert connected_orbit_count(3) + sum(disconnected_census(3).values()) == total == 624
+    assert calls == [1]
+    orbit_representatives(3, workers=2)
+    orbit_representatives(3, workers=2)
+    assert calls == [1, 2]
+
+
+def test_cached_representatives_are_read_only():
+    reps = orbit_representatives(3)
+    assert not reps.flags.writeable
+    with pytest.raises(ValueError):
+        reps[0] = 1
+
+
+def test_census_flags_match_the_scalar_search():
+    reps = [int(m) for m in orbit_representatives(3)]
+    assert oracle._connected_flags(3, reps).tolist() == [is_connected(3, m) for m in reps]
+    sample = random.Random(20261018).sample([int(m) for m in orbit_representatives(5)], 500)
+    assert oracle._connected_flags(5, sample).tolist() == [is_connected(5, m) for m in sample]
+
+
+def test_census_counts_match_independent_model(monkeypatch):
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    census = disconnected_census(3)
+    counts = (connected_orbit_count(3), census["a_only_orbits"], census["b_touching_orbits"])
+    assert counts == im.census(3)
 
 
 def test_census_frozen_values():
@@ -205,6 +261,15 @@ def test_mask_hex_round_trip():
         mask_to_hex(3, -1)
     with pytest.raises(ValueError):
         hex_to_mask(3, "1000")
+
+
+def test_out_of_range_masks_are_refused():
+    for mask in (-1, 1 << 12, 1 << 50):
+        with pytest.raises(ValueError, match="out of range"):
+            is_connected(3, mask)
+        with pytest.raises(ValueError, match="out of range"):
+            build_cayley_graph(3, mask)
+    assert is_connected(3, (1 << 12) - 1)
 
 
 def test_to_dot_rendering():
