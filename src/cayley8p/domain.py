@@ -9,13 +9,18 @@ Every non-identity element g is grouped with its inverse into a class
     index 2p-1              the singleton {a^p} (the unique involution in <a>)
     indices 2p .. 4p-1      pairs {a^j b, a^{p+j} b^3},  labels j = 0 .. 2p-1
 
-Automorphisms permute these classes; cycle types of the induced
-permutations are computed both by decomposition (the ground truth) and
-by a closed-form case analysis.  The two are compared, not assumed
-equal: the case analysis tracks class labels modulo 2p and misses the
-orbit shortening caused by the label identification i ~ -i on the
-a-power pairs, so it overstates some cycle lengths (see
-closed_form_cycle_type).
+Automorphisms permute these classes.  induced_permutations(p) holds the
+induced permutations of all 4p(p-1) maps as the rows of one read-only
+int16 array, and cycle_types(p) counts the cycles of every row once, in
+numpy, by pointer jumping; Burnside, the brute-force cycle index and the
+verify check all read that one result.  cycle_type_of decomposes a single
+permutation in Python and stays as the scalar reference.
+
+The decomposition is the ground truth; the closed-form case analysis
+(closed_form_cycle_type) is compared with it, not assumed equal: it
+tracks class labels modulo 2p and misses the orbit shortening caused by
+the label identification i ~ -i on the a-power pairs, so it overstates
+some cycle lengths.
 """
 
 from dataclasses import dataclass
@@ -32,6 +37,8 @@ KIND_A1 = "A1"
 KIND_A2 = "A2"
 KIND_AP = "Ap"
 KIND_B = "B"
+
+_INT16_MAX = np.iinfo(np.int16).max
 
 
 @dataclass(frozen=True)
@@ -150,18 +157,71 @@ def _induced_blocks(d: Domain, blocks):
 
 
 @lru_cache(maxsize=None)
-def induced_permutations(p: int) -> tuple[tuple[int, ...], ...]:
+def induced_permutations(p: int) -> np.ndarray:
     """Induced permutation for every enumerated automorphism, in enumeration order.
 
-    Equal to induced_permutation(f, build_domain(p)) for each f of
-    enumerate_aut(p), computed one block of the 2p maps that share
+    A read-only int16 array of shape (4p(p-1), 4p) whose row i equals
+    induced_permutation(f, build_domain(p)) for the i-th f of
+    enumerate_aut(p).  It is filled one block of the 2p maps that share
     (family, alpha) at a time.
     """
+    check_odd_prime(p)
+    if 4 * p > _INT16_MAX:
+        raise ValueError(f"p={p} has {4 * p} classes, more than an int16 index holds")
     d = build_domain(p)
-    blocks = [(family, alpha) for family in (SIGMA, TAU) for alpha in units_mod(2 * p)]
-    return tuple(
-        tuple(row) for perms in _induced_blocks(d, blocks) for row in perms.tolist()
-    )
+    n = 2 * p
+    blocks = [(family, alpha) for family in (SIGMA, TAU) for alpha in units_mod(n)]
+    perms = np.empty((len(blocks) * n, 4 * p), dtype=np.int16)
+    for i, block in enumerate(_induced_blocks(d, blocks)):
+        perms[i * n : (i + 1) * n] = block
+    perms.flags.writeable = False
+    return perms
+
+
+_CYCLE_CHUNK = 256  # rows per pointer-jumping pass
+
+
+def cycle_counts(perms) -> tuple[tuple[int, ...], np.ndarray]:
+    """Cycle types of the rows of a permutation array, by pointer jumping.
+
+    Returns (lengths, counts): the cycle lengths that occur in some row,
+    ascending, and a read-only int16 array of shape (rows, len(lengths))
+    with counts[i, j] cycles of length lengths[j] in row i.  Each point
+    finds the least point of its cycle in (n-1).bit_length() rounds of
+    M = min(M, M[J]); J = J[J]; the points that are their own least point
+    lead one cycle each, and the cycle sizes are the numbers of points per
+    leader.
+    """
+    perms = np.asarray(perms)
+    rows, n = perms.shape
+    if n > _INT16_MAX:
+        raise ValueError(f"{n} points per row: a cycle count must fit in int16")
+    counts = np.zeros((rows, n + 1), dtype=np.int16)
+    for lo in range(0, rows, _CYCLE_CHUNK):
+        chunk = perms[lo : lo + _CYCLE_CHUNK]
+        r = len(chunk)
+        # row-local targets as flat indices into the chunk
+        jump = (chunk + np.arange(r, dtype=np.intp)[:, None] * n).ravel()
+        flat = np.arange(r * n, dtype=np.intp)
+        least = flat.copy()
+        for _ in range((n - 1).bit_length()):
+            np.minimum(least, least[jump], out=least)
+            jump = jump[jump]
+        leaders = np.flatnonzero(least == flat)
+        sizes = np.bincount(least, minlength=r * n)[leaders]
+        counts[lo : lo + r] = np.bincount(
+            leaders // n * (n + 1) + sizes, minlength=r * (n + 1)
+        ).reshape(r, n + 1)
+    occurring = np.flatnonzero(counts.any(axis=0))
+    compact = counts[:, occurring]
+    compact.flags.writeable = False
+    return tuple(occurring.tolist()), compact
+
+
+@lru_cache(maxsize=None)
+def cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """cycle_counts of induced_permutations(p): one row per map, enumeration order."""
+    return cycle_counts(induced_permutations(p))
 
 
 def cycle_type_of(perm: tuple[int, ...]) -> dict[int, int]:

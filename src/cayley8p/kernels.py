@@ -81,11 +81,15 @@ def bit_tables(perms) -> tuple[np.ndarray, np.ndarray, int, int]:
 
 
 def apply_perm_to_mask(mask: int, perm) -> int:
-    """Reference image of one mask (used by tests and small-scale callers)."""
+    """Reference image of one mask (used by tests and small-scale callers).
+
+    Each target is cast to int, so a row of a fixed-width array shifts as a
+    Python integer instead of wrapping.
+    """
     img = 0
     for i, target in enumerate(perm):
         if mask >> i & 1:
-            img |= 1 << target
+            img |= 1 << int(target)
     return img
 
 

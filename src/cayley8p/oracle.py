@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, build_domain, cycle_type_of, induced_permutations
+from .domain import Domain, build_domain, cycle_types, induced_permutations
 from .group import element_index, mul_table
 from .kernels import sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
@@ -54,13 +54,13 @@ def burnside_count(p: int) -> int:
     """Orbit count as the average number of fixed connection sets.
 
     A permutation with c cycles fixes exactly 2^c subsets, so the count
-    is (1/|Aut|) * sum of 2^{c(f)} over all induced permutations, using
-    brute-force cycle decomposition only.
+    is (1/|Aut|) * sum of N_c 2^c over the cycle counts c, with N_c the
+    number of induced permutations that have c cycles, using brute-force
+    cycle decomposition only.
     """
     check_odd_prime(p)
-    total = sum(
-        2 ** sum(cycle_type_of(perm).values()) for perm in induced_permutations(p)
-    )
+    maps_with = np.bincount(cycle_types(p)[1].sum(axis=1))
+    total = sum(n << c for c, n in enumerate(maps_with.tolist()))
     aut_order = 4 * p * (p - 1)
     if total % aut_order:
         raise ArithmeticError(f"Burnside sum {total} not divisible by {aut_order}")

@@ -13,11 +13,12 @@ and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
 All arithmetic is exact; results are unbounded integers.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .domain import closed_form_cycle_type, cycle_type_of, induced_permutations
+from .domain import cycle_types
 from .modular import check_odd_prime, divisors, euler_phi
 
 # a monomial is a tuple of (variable index, exponent) pairs, ascending by index
@@ -78,14 +79,18 @@ def _validate(p: int, terms: dict[Monomial, Fraction]) -> CycleIndexPoly:
 
 @lru_cache(maxsize=None)
 def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
-    """Average the monomials of the decomposed induced permutations."""
+    """Average the monomials of the decomposed induced permutations.
+
+    Maps with the same cycle type share one monomial; each distinct type
+    adds (its number of maps) / |Aut| once.
+    """
     check_odd_prime(p)
     aut_order = 4 * p * (p - 1)
-    terms: dict[Monomial, Fraction] = {}
-    share = Fraction(1, aut_order)
-    for perm in induced_permutations(p):
-        mono = monomial_from_cycle_type(cycle_type_of(perm))
-        terms[mono] = terms.get(mono, Fraction(0)) + share
+    lengths, counts = cycle_types(p)
+    terms = {
+        tuple((k, e) for k, e in zip(lengths, row) if e): Fraction(maps, aut_order)
+        for row, maps in Counter(map(tuple, counts.tolist())).items()
+    }
     return _validate(p, terms)
 
 

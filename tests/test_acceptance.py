@@ -36,6 +36,7 @@ from cayley8p.domain import (
     build_domain,
     closed_form_cycle_type,
     cycle_type_of,
+    cycle_types,
     induced_permutations,
 )
 from cayley8p.group import (
@@ -124,7 +125,7 @@ def _odd_part(m: int) -> int:
 
 def test_criterion_2_burnside_equals_closed_form():
     primes = (3, 5, 7, 11, 13, 17, 19, 23)
-    for cached in (build_domain, induced_permutations, n_total):
+    for cached in (build_domain, induced_permutations, cycle_types, n_total):
         cached.cache_clear()
     t0 = time.perf_counter()
     pairs = {p: (burnside_count(p), n_total(p)) for p in primes}

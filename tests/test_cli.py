@@ -1,10 +1,13 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
 import json
+import sys
 
 import pytest
 
+from cayley8p import domain
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
+from cayley8p.polya import cycle_index_bruteforce, n_total
 
 QUICK_CHECKS = [
     "automorphism_count",
@@ -222,3 +225,58 @@ def test_report_object_shape():
     assert not report.failed
     assert [c.name for c in report.checks] == QUICK_CHECKS
     assert report.counts.methods["burnside"] == 624
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_rejects_an_empty_p_list(capsys, fmt):
+    for p_list in (",", ",,"):
+        assert main(["table", "--p-list", p_list, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--p-list names no prime" in captured.err
+
+
+def _with_int_max_str_digits(limit, fn):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_counts_too_long_to_print_are_refused_before_output(capsys, fmt):
+    text = _with_int_max_str_digits(0, lambda: str(n_total(3581)))
+    for argv in (["count", "--p", "3581"], ["table", "--p-list", "3571,3581"]):
+        status = _with_int_max_str_digits(4300, lambda: main([*argv, "--format", fmt]))
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert f"p=3581 has {len(text)} decimal digits" in captured.err
+        assert "4300" in captured.err
+    # 4293 digits still print, and a limit of 0 means no limit
+    status = _with_int_max_str_digits(4300, lambda: main(["count", "--p", "3571", "--format", fmt]))
+    assert status == 0
+    assert str(n_total(3571)) in capsys.readouterr().out
+    status = _with_int_max_str_digits(0, lambda: main(["count", "--p", "3581", "--format", fmt]))
+    assert status == 0
+    assert text in capsys.readouterr().out
+
+
+def test_verify_never_decomposes_one_permutation_at_a_time(monkeypatch):
+    """The verify path reads the array cycle types; the scalar reference is not called."""
+
+    def refuse(perm):
+        raise AssertionError("cycle_type_of called on the verify path")
+
+    original = domain.cycle_type_of
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cayley8p":
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, refuse)
+    for cached in (domain.induced_permutations, domain.cycle_types, cycle_index_bruteforce):
+        cached.cache_clear()
+    report = build_verification_report(31, "quick")
+    assert not report.failed
+    assert report.counts.methods["burnside"] == cycle_index_bruteforce(31).evaluate(2)

@@ -7,7 +7,10 @@ genuinely disagree for some units; those disagreements are frozen here as
 facts, not patched.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import independent_model as im
 from cayley8p.autos import SIGMA, TAU, Automorphism, enumerate_aut
@@ -20,7 +23,9 @@ from cayley8p.domain import (
     a2_labels,
     build_domain,
     closed_form_cycle_type,
+    cycle_counts,
     cycle_type_of,
+    cycle_types,
     induced_permutation,
     induced_permutations,
     render_cycle_type,
@@ -90,9 +95,9 @@ def test_induced_permutations_match_the_reference_path():
     """The block-at-a-time numpy path equals induced_permutation map by map."""
     for p in PRIMES:
         d = build_domain(p)
-        assert induced_permutations(p) == tuple(
-            induced_permutation(f, d) for f in enumerate_aut(p)
-        )
+        assert induced_permutations(p).tolist() == [
+            list(induced_permutation(f, d)) for f in enumerate_aut(p)
+        ]
 
 
 def test_induced_blocks_reject_broken_maps():
@@ -138,9 +143,63 @@ def test_matches_independent_model():
         for i, target in enumerate(perm):
             out[pkg_of[i]] = pkg_of[target]
         relabeled.add(tuple(out))
-    ours = set(induced_permutations(p))
+    ours = set(map(tuple, induced_permutations(p).tolist()))
     assert len(ours) == 4 * p * (p - 1)
     assert ours == relabeled
+
+
+def test_permutation_array_and_cycle_rows_are_read_only_int16():
+    for p in PRIMES:
+        perms = induced_permutations(p)
+        assert perms.dtype == np.int16
+        assert perms.shape == (4 * p * (p - 1), 4 * p)
+        lengths, counts = cycle_types(p)
+        assert counts.dtype == np.int16
+        assert counts.shape == (4 * p * (p - 1), len(lengths))
+        assert list(lengths) == sorted(set(lengths))
+        assert counts.any(axis=0).all()  # only lengths that occur
+        for array in (perms, counts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+
+def test_int16_limits_are_refused_before_any_work():
+    with pytest.raises(ValueError, match="int16"):
+        induced_permutations(8209)  # the first prime with more than 32767 classes
+    with pytest.raises(ValueError, match="int16"):
+        cycle_counts(np.zeros((0, 1 << 15), dtype=np.int32))
+
+
+def _as_dicts(lengths, counts) -> list[dict[int, int]]:
+    return [{k: c for k, c in zip(lengths, row) if c} for row in counts.tolist()]
+
+
+def test_array_cycle_types_match_cycle_type_of():
+    """Pointer jumping over the whole array equals the scalar decomposition, map by map."""
+    for p in PRIMES:
+        perms = induced_permutations(p)
+        assert _as_dicts(*cycle_types(p)) == [
+            cycle_type_of(tuple(row)) for row in perms.tolist()
+        ]
+
+
+@st.composite
+def permutation_rows(draw):
+    """(n, rows): up to six permutations of range(n), n from 0 to 40."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    return n, draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_rows())
+def test_cycle_counts_match_cycle_type_of_on_drawn_permutations(drawn):
+    n, perms = drawn
+    identity = list(range(n))
+    full_cycle = identity[1:] + identity[:1]
+    rows = perms + [identity, full_cycle]
+    array = np.array(rows, dtype=np.int16).reshape(len(rows), n)
+    assert _as_dicts(*cycle_counts(array)) == [cycle_type_of(tuple(r)) for r in rows]
 
 
 def test_cycle_type_of_basics():

@@ -28,6 +28,18 @@ def test_apply_perm_to_mask():
     assert apply_perm_to_mask(0, [1, 0]) == 0
 
 
+def test_apply_perm_to_mask_on_int16_rows():
+    """A row of the int16 permutation array maps masks as its tuple does:
+    at p = 5 the target 19 would wrap in int16 arithmetic."""
+    perms = induced_permutations(5)
+    rng = random.Random(5)
+    masks = [(1 << 20) - 1, 1 << 19] + [rng.randrange(1 << 20) for _ in range(20)]
+    for row in perms[::7]:
+        for m in masks:
+            assert apply_perm_to_mask(m, row) == apply_perm_to_mask(m, tuple(row.tolist()))
+    assert apply_perm_to_mask((1 << 20) - 1, perms[0]) == (1 << 20) - 1
+
+
 def test_bit_tables_reproduce_every_image():
     perms = induced_permutations(3)
     tlo, thi, lo_bits, lo_mask = bit_tables(perms)
