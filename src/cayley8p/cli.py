@@ -11,19 +11,28 @@ Subcommands:
 Formats: text (default), json, csv (count/table only).  Counts in JSON
 are decimal strings, because they outgrow double precision near p = 17.
 Exit status: 0 success, 1 internal inconsistency or failed verification,
-2 invalid input.
+2 invalid input, 141 standard output closed before all of it was written
+(as in `cayley8p cycle-types --p 31 | head -1`).
+
+cycle-types and verify's closed-vs-brute check read the closed-form cycle
+types as one int16 array (domain.closed_form_cycle_types, one row per map);
+cycle-types renders each distinct cycle type once and formats the records
+around it.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from math import log10
 
+import numpy as np
+
 from . import oracle, polya
-from .autos import enumerate_aut
-from .domain import closed_form_cycle_type, cycle_types, render_cycle_type
-from .modular import check_odd_prime
+from .autos import SIGMA, TAU, enumerate_aut
+from .domain import closed_form_cycle_types, cycle_types, render_cycle_type
+from .modular import check_odd_prime, units_mod
 
 
 @dataclass
@@ -142,10 +151,10 @@ def cmd_table(args) -> int:
         for r in reports:
             print(_csv_row(r))
     else:
-        wide = max(len("n_total"), max(len(str(r.n_total)) for r in reports))
-        print(f"{'p':>3}  {'n_total':>{wide}}  {'n_circulant':>11}  {'n_connected':>{wide}}")
-        for r in reports:
-            print(f"{r.p:>3}  {r.n_total:>{wide}}  {r.n_circulant:>11}  {r.n_connected:>{wide}}")
+        rows = [CSV_HEADER.split(",")] + [_csv_row(r).split(",") for r in reports]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        for row in rows:
+            print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
     return 0
 
 
@@ -167,12 +176,17 @@ def build_verification_report(
     )
 
     # formula claim vs oracle decomposition: disagreements are reported, not fatal
-    lengths, counts = cycle_types(p)
-    rows = list(map(tuple, counts.tolist()))
-    genuine = {row: {k: c for k, c in zip(lengths, row) if c} for row in set(rows)}
-    mismatches = sum(
-        closed_form_cycle_type(f) != genuine[row] for f, row in zip(autos, rows)
-    )
+    genuine_lengths, genuine = cycle_types(p)
+    claimed_lengths, claimed = closed_form_cycle_types(p)
+    lengths = sorted(set(genuine_lengths) | set(claimed_lengths))
+
+    def on_all_lengths(own: tuple[int, ...], counts: np.ndarray) -> np.ndarray:
+        aligned = np.zeros((len(counts), len(lengths)), dtype=np.int16)
+        aligned[:, np.searchsorted(lengths, own)] = counts
+        return aligned
+
+    differ = on_all_lengths(genuine_lengths, genuine) != on_all_lengths(claimed_lengths, claimed)
+    mismatches = int(differ.any(axis=1).sum())
     add(
         "cycle_types_closed_vs_brute",
         mismatches == 0,
@@ -346,21 +360,30 @@ def cmd_cycle_index(args) -> int:
 
 
 def cmd_cycle_types(args) -> int:
+    """One record per map in enumerate_aut order; the same text as rendering
+    every closed_form_cycle_type, and in JSON the same bytes as
+    json.dumps(records, indent=2)."""
     p = check_odd_prime(args.p)
+    lengths, counts = closed_form_cycle_types(p)
+    rows = list(map(tuple, counts.tolist()))
+    types = {row: {k: c for k, c in zip(lengths, row) if c} for row in set(rows)}
+    n = 2 * p
+    maps = [(f, a, b) for f in (SIGMA, TAU) for a in units_mod(n) for b in range(n)]
     if args.format == "json":
-        records = [
-            {
-                "family": f.family,
-                "alpha": f.alpha,
-                "beta": f.beta,
-                "cycle_type": {str(k): v for k, v in sorted(closed_form_cycle_type(f).items())},
-            }
-            for f in enumerate_aut(p)
-        ]
-        print(json.dumps(records, indent=2))
+        # a cycle type sits two levels deep in the list of records
+        rendered = {
+            row: json.dumps({str(k): c for k, c in t.items()}, indent=2).replace("\n", "\n    ")
+            for row, t in types.items()
+        }
+        records = (
+            f'  {{\n    "family": "{f}",\n    "alpha": {a},\n    "beta": {b},\n'
+            f'    "cycle_type": {rendered[row]}\n  }}'
+            for (f, a, b), row in zip(maps, rows)
+        )
+        print("[\n" + ",\n".join(records) + "\n]")
     else:
-        for f in enumerate_aut(p):
-            print(f"{f}: {render_cycle_type(closed_form_cycle_type(f))}")
+        rendered = {row: render_cycle_type(t) for row, t in types.items()}
+        print("\n".join(f"{f}({a},{b}): {rendered[row]}" for (f, a, b), row in zip(maps, rows)))
     return 0
 
 
@@ -432,7 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped early: send what is still buffered to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,11 @@ numpy, by pointer jumping; Burnside, the brute-force cycle index and the
 verify check all read that one result.  cycle_type_of decomposes a single
 permutation in Python and stays as the scalar reference.
 
+The closed-form side has the same layout: closed_form_cycle_types(p) runs
+the scalar case analysis closed_form_cycle_type once per case (4p calls
+per p) and fills one int16 row per map by numpy indexing; the verify check
+compares the two arrays, and the cycle-types command renders from it.
+
 The decomposition is the ground truth; the closed-form case analysis
 (closed_form_cycle_type) is compared with it, not assumed equal: it
 tracks class labels modulo 2p and misses the orbit shortening caused by
@@ -156,6 +161,13 @@ def _induced_blocks(d: Domain, blocks):
         yield perms
 
 
+def _check_int16_classes(p: int) -> None:
+    if 4 * p > _INT16_MAX:
+        raise ValueError(
+            f"p={p} has {4 * p} classes, more than an int16 index holds ({_INT16_MAX})"
+        )
+
+
 @lru_cache(maxsize=None)
 def induced_permutations(p: int) -> np.ndarray:
     """Induced permutation for every enumerated automorphism, in enumeration order.
@@ -166,8 +178,7 @@ def induced_permutations(p: int) -> np.ndarray:
     (family, alpha) at a time.
     """
     check_odd_prime(p)
-    if 4 * p > _INT16_MAX:
-        raise ValueError(f"p={p} has {4 * p} classes, more than an int16 index holds")
+    _check_int16_classes(p)
     d = build_domain(p)
     n = 2 * p
     blocks = [(family, alpha) for family in (SIGMA, TAU) for alpha in units_mod(n)]
@@ -320,6 +331,45 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
                 _add(counts, o, 3 * g)
                 _add(counts, 2 * o, g // 2)
     return counts
+
+
+@lru_cache(maxsize=None)
+def closed_form_cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """closed_form_cycle_type of every enumerated map, laid out as cycle_types(p).
+
+    Returns (lengths, counts): the cycle lengths that occur, ascending, and
+    a read-only int16 array with one row per map in enumerate_aut order.
+    The case analysis reads beta only through which of {0, p, other even,
+    other odd} it is, and for alpha != 1 only through its parity, so it
+    runs once per case on a representative map: 4p calls per p.  Each
+    block of the 2p maps that share (family, alpha) then picks its rows
+    from its case rows by index.
+    """
+    check_odd_prime(p)
+    _check_int16_classes(p)
+    n = 2 * p
+    beta = np.arange(n)
+    parity = beta % 2
+    # alpha = 1: representatives (other even, other odd, 0, p), indexed by
+    # parity, plus 2 for the two special shifts
+    special = parity + 2 * ((beta == 0) | (beta == p))
+    blocks = []
+    for family in (SIGMA, TAU):
+        for alpha in units_mod(n):
+            reps, case = ((2, 1, 0, p), special) if alpha == 1 else ((0, 1), parity)
+            types = [closed_form_cycle_type(Automorphism(p, family, alpha, b)) for b in reps]
+            blocks.append((types, case))
+    lengths = tuple(sorted({k for types, _ in blocks for t in types for k in t}))
+    column = {k: j for j, k in enumerate(lengths)}
+    counts = np.empty((len(blocks) * n, len(lengths)), dtype=np.int16)
+    for i, (types, case) in enumerate(blocks):
+        rows = np.zeros((len(types), len(lengths)), dtype=np.int16)
+        for r, t in enumerate(types):
+            for k, c in t.items():
+                rows[r, column[k]] = c
+        counts[i * n : (i + 1) * n] = rows[case]
+    counts.flags.writeable = False
+    return lengths, counts
 
 
 def render_cycle_type(counts: dict[int, int]) -> str:

@@ -5,7 +5,10 @@ two independent ways: by averaging brute-force cycle types over all
 4p(p-1) maps, and from the closed-form expression (one 1/(4p) block of
 eight signed monomials plus four divisor sums weighted 1/(4(p-1))).
 Both are exact-rational term maps; the verification layer compares them
-term by term and reports any disagreement instead of hiding it.
+term by term and reports any disagreement instead of hiding it.  The
+closed form adds integer weights in units of 1/|Aut| and makes one
+Fraction per monomial; evaluate sums integers over the common denominator
+of the coefficients and divides once.
 
 Counts:  n_total evaluates the closed-form count formula (and must match
 the cycle index at 2), n_circulant counts circulant graphs of order 2p,
@@ -17,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .domain import cycle_types
 from .modular import check_odd_prime, divisors, euler_phi
@@ -50,18 +54,24 @@ class CycleIndexPoly:
     terms: dict[Monomial, Fraction]
 
     def evaluate(self, m: int):
-        """Substitute every variable by m; the result must be an integer."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = 1
-            for _, e in mono:
-                value *= m**e
-            total += coeff * value
-        if total.denominator != 1:
+        """Substitute every variable by m; the result must be an integer.
+
+        The sum runs in integers over the common denominator D of the
+        coefficients: each term adds numerator * (D / denominator) * m^e,
+        e its number of cycles, and one division by D ends it.
+        """
+        common = lcm(*(c.denominator for c in self.terms.values()))
+        total = sum(
+            c.numerator * (common // c.denominator) * m ** sum(e for _, e in mono)
+            for mono, c in self.terms.items()
+        )
+        value, rest = divmod(total, common)
+        if rest:
             raise ArithmeticError(
-                f"cycle index at {m} is not an integer: {total} (corrupted polynomial)"
+                f"cycle index at {m} is not an integer: {Fraction(total, common)} "
+                "(corrupted polynomial)"
             )
-        return total.numerator
+        return value
 
 
 def _validate(p: int, terms: dict[Monomial, Fraction]) -> CycleIndexPoly:
@@ -103,12 +113,14 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
     only on the final term map.
     """
     check_odd_prime(p)
-    terms: dict[Monomial, Fraction] = {}
+    aut_order = 4 * p * (p - 1)
+    # integer weights in units of 1/|Aut|; one Fraction per monomial at the end
+    weights: dict[Monomial, int] = {}
 
-    def add(coeff: Fraction, mono: Monomial) -> None:
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+    def add(weight: int, mono: Monomial) -> None:
+        weights[mono] = weights.get(mono, 0) + weight
 
-    quarter_p = Fraction(1, 4 * p)
+    quarter_p = p - 1  # 1/(4p) = (p-1)/|Aut|
     half = (p - 1) // 2
     for sign, mono in (
         (-1, monomial((1, 4 * p))),
@@ -122,7 +134,7 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
     ):
         add(sign * quarter_p, mono)
 
-    base = Fraction(1, 4 * (p - 1))
+    base = p  # 1/(4(p-1)) = p/|Aut|
     for d in divisors(p - 1):
         w = base * euler_phi(d)
         q = (p - 1) // d
@@ -134,7 +146,7 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
             add(w, monomial((1, 2), (2, 1), (d, 2 * q), (2 * d, q)))
             add(w, monomial((1, 2), (2, 1), (d, q), (2 * d, 3 * q // 2)))
             add(w, monomial((1, 4), (d, 3 * q), (2 * d, q // 2)))
-    return _validate(p, terms)
+    return _validate(p, {mono: Fraction(w, aut_order) for mono, w in weights.items()})
 
 
 @lru_cache(maxsize=None)

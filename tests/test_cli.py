@@ -1,12 +1,18 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cayley8p import domain
+from cayley8p.autos import enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
+from cayley8p.domain import closed_form_cycle_type, render_cycle_type
 from cayley8p.polya import cycle_index_bruteforce, n_total
 
 QUICK_CHECKS = [
@@ -90,6 +96,17 @@ def test_table_text(capsys):
     assert lines[0].split() == ["p", "n_total", "n_circulant", "n_connected"]
     assert lines[1].split() == ["3", "432", "6", "388"]
     assert lines[2].split() == ["5", "18144", "12", "17992"]
+
+
+@pytest.mark.parametrize("p_list", ["3", "3,13,1009"])
+def test_table_text_columns_line_up_with_their_headers(capsys, p_list):
+    status, out = run(capsys, "table", "--p-list", p_list)
+    assert status == 0
+    header, *rows = out.splitlines()
+    assert len(rows) == len(p_list.split(","))
+    column_ends = [m.end() for m in re.finditer(r"\S+", header)]
+    for row in rows:
+        assert [m.end() for m in re.finditer(r"\S+", row)] == column_ends
 
 
 def test_table_rejects_bad_token(capsys):
@@ -220,6 +237,55 @@ def test_cycle_types_json(capsys):
     }
 
 
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_cycle_types_match_a_reference_rendering(capsys, p):
+    autos = enumerate_aut(p)
+    records = [
+        {
+            "family": f.family,
+            "alpha": f.alpha,
+            "beta": f.beta,
+            "cycle_type": {str(k): v for k, v in sorted(closed_form_cycle_type(f).items())},
+        }
+        for f in autos
+    ]
+    want = json.dumps(records, indent=2) + "\n"
+    assert run(capsys, "cycle-types", "--p", str(p), "--format", "json") == (0, want)
+    want = "".join(f"{f}: {render_cycle_type(closed_form_cycle_type(f))}\n" for f in autos)
+    assert run(capsys, "cycle-types", "--p", str(p)) == (0, want)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cycle_types_refuses_p_beyond_int16_before_output(capsys, monkeypatch, fmt):
+    def refuse(f):
+        raise AssertionError("closed_form_cycle_type called before the size check")
+
+    _patch_every_binding(monkeypatch, domain.closed_form_cycle_type, refuse)
+    assert main(["cycle-types", "--p", "8209", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: p=8209 has 32836 classes" in captured.err
+    assert "32767" in captured.err
+
+
+def test_closed_stdout_ends_quietly_with_status_141(tmp_path):
+    """`cayley8p cycle-types --p 101 | head -1`: no traceback, a fixed status."""
+    env = dict(os.environ, PYTHONPATH=str(Path(domain.__file__).resolve().parents[1]))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cayley8p.cli", "cycle-types", "--p", "101"],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()  # about 1.2 MB are still to come, far more than a pipe buffers
+        status = proc.wait(timeout=120)
+    assert first == b"sigma(1,0): 1^404\n"
+    assert status == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
 def test_report_object_shape():
     report = build_verification_report(3, "quick")
     assert not report.failed
@@ -264,19 +330,40 @@ def test_counts_too_long_to_print_are_refused_before_output(capsys, fmt):
     assert text in capsys.readouterr().out
 
 
+def _patch_every_binding(monkeypatch, original, replacement):
+    """Replace original under every name a cayley8p module binds it to."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cayley8p":
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, replacement)
+
+
 def test_verify_never_decomposes_one_permutation_at_a_time(monkeypatch):
     """The verify path reads the array cycle types; the scalar reference is not called."""
 
     def refuse(perm):
         raise AssertionError("cycle_type_of called on the verify path")
 
-    original = domain.cycle_type_of
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cayley8p":
-            for attr in [a for a, v in vars(module).items() if v is original]:
-                monkeypatch.setattr(module, attr, refuse)
+    _patch_every_binding(monkeypatch, domain.cycle_type_of, refuse)
     for cached in (domain.induced_permutations, domain.cycle_types, cycle_index_bruteforce):
         cached.cache_clear()
     report = build_verification_report(31, "quick")
     assert not report.failed
     assert report.counts.methods["burnside"] == cycle_index_bruteforce(31).evaluate(2)
+
+
+def test_verify_runs_the_closed_form_case_analysis_once_per_case(monkeypatch):
+    calls = []
+    original = domain.closed_form_cycle_type
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    _patch_every_binding(monkeypatch, original, counted)
+    domain.closed_form_cycle_types.cache_clear()
+    report = build_verification_report(31, "quick")
+    assert len(calls) == 4 * 31
+    # 4p(p-1-m) mismatches, m = 15 the odd part of p - 1 (acceptance criterion 4)
+    details = {c.name: c.details for c in report.checks}
+    assert details["cycle_types_closed_vs_brute"] == "1860 mismatches over 3720 automorphisms"

@@ -23,6 +23,7 @@ from cayley8p.domain import (
     a2_labels,
     build_domain,
     closed_form_cycle_type,
+    closed_form_cycle_types,
     cycle_counts,
     cycle_type_of,
     cycle_types,
@@ -153,20 +154,28 @@ def test_permutation_array_and_cycle_rows_are_read_only_int16():
         perms = induced_permutations(p)
         assert perms.dtype == np.int16
         assert perms.shape == (4 * p * (p - 1), 4 * p)
-        lengths, counts = cycle_types(p)
-        assert counts.dtype == np.int16
-        assert counts.shape == (4 * p * (p - 1), len(lengths))
-        assert list(lengths) == sorted(set(lengths))
-        assert counts.any(axis=0).all()  # only lengths that occur
-        for array in (perms, counts):
+        arrays = [perms]
+        for lengths, counts in (cycle_types(p), closed_form_cycle_types(p)):
+            assert counts.dtype == np.int16
+            assert counts.shape == (4 * p * (p - 1), len(lengths))
+            assert list(lengths) == sorted(set(lengths))
+            assert counts.any(axis=0).all()  # only lengths that occur
+            arrays.append(counts)
+        for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
 
-def test_int16_limits_are_refused_before_any_work():
-    with pytest.raises(ValueError, match="int16"):
-        induced_permutations(8209)  # the first prime with more than 32767 classes
+def test_int16_limits_are_refused_before_any_work(monkeypatch):
+    def refuse(f):
+        raise AssertionError("closed_form_cycle_type called before the size check")
+
+    monkeypatch.setattr("cayley8p.domain.closed_form_cycle_type", refuse)
+    # 8209 is the first prime with more than 32767 classes
+    for build in (induced_permutations, closed_form_cycle_types):
+        with pytest.raises(ValueError, match=r"p=8209 has 32836 classes.*int16.*32767"):
+            build(8209)
     with pytest.raises(ValueError, match="int16"):
         cycle_counts(np.zeros((0, 1 << 15), dtype=np.int32))
 
@@ -181,6 +190,14 @@ def test_array_cycle_types_match_cycle_type_of():
         perms = induced_permutations(p)
         assert _as_dicts(*cycle_types(p)) == [
             cycle_type_of(tuple(row)) for row in perms.tolist()
+        ]
+
+
+def test_closed_form_array_matches_the_scalar_case_analysis():
+    """One scalar call per case, spread over its maps, equals one call per map."""
+    for p in PRIMES:
+        assert _as_dicts(*closed_form_cycle_types(p)) == [
+            closed_form_cycle_type(f) for f in enumerate_aut(p)
         ]
 
 

@@ -96,6 +96,25 @@ def test_the_two_polynomials_disagree():
         assert b.terms != c.terms
 
 
+def _fraction_sum(poly: CycleIndexPoly, m: int) -> Fraction:
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = 1
+        for _, e in mono:
+            value *= m**e
+        total += coeff * value
+    return total
+
+
+def test_evaluate_matches_a_fraction_sum():
+    for p in PRIMES:
+        for poly in (cycle_index_bruteforce(p), cycle_index_closed_form(p)):
+            for m in (-1, 0, 2, 3):
+                want = _fraction_sum(poly, m)
+                assert want.denominator == 1
+                assert poly.evaluate(m) == want.numerator
+
+
 def test_evaluate_rejects_non_integer():
     poly = CycleIndexPoly(3, {monomial((1, 1)): Fraction(1, 3)})
     with pytest.raises(ArithmeticError):
