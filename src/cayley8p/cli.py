@@ -14,70 +14,45 @@ Exit status: 0 success, 1 internal inconsistency or failed verification,
 2 invalid input, 141 standard output closed before all of it was written
 (as in `cayley8p cycle-types --p 31 | head -1`).
 
-cycle-types and verify's closed-vs-brute check read the closed-form cycle
-types as one int16 array (domain.closed_form_cycle_types, one row per map);
-cycle-types renders each distinct cycle type once and formats the records
-around it.
+This module only parses arguments and renders output: counts come from
+polya, verify's checks and claimed-vs-genuine records from cayley8p.verify.
+cycle-types reads the closed-form cycle types as one int16 array
+(domain.closed_form_cycle_types, one row per map), renders each distinct
+cycle type once and formats the records around it.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import log10
 
-import numpy as np
-
 from . import oracle, polya
-from .autos import SIGMA, TAU, enumerate_aut
-from .domain import closed_form_cycle_types, cycle_types, render_cycle_type
+from .autos import SIGMA, TAU
+from .domain import closed_form_cycle_types, render_cycle_type
 from .modular import check_odd_prime, units_mod
+from .verify import Comparison, build_verification_report
 
 
-@dataclass
-class Check:
-    name: str
-    status: str  # pass | fail | flagged
-    details: str
-
-
-@dataclass
-class VerificationReport:
-    """flagged marks a formula-vs-oracle disagreement (reported, not fatal);
-    fail marks an internal inconsistency between two paths that must agree."""
-
-    p: int
-    level: str
-    checks: list[Check]
-    counts: polya.CountReport
-
-    @property
-    def failed(self) -> bool:
-        return any(c.status == "fail" for c in self.checks)
-
-
-def _s(value: int) -> str:
-    return str(value)
-
-
-def _report_json(report: polya.CountReport) -> dict:
+def _report_json(report: polya.CountReport, comparisons: list[Comparison]) -> dict:
     return {
         "p": report.p,
         "aut_order": report.aut_order,
-        "n_total": _s(report.n_total),
-        "n_circulant": _s(report.n_circulant),
-        "n_connected": _s(report.n_connected),
-        "methods": {k: _s(v) for k, v in report.methods.items()},
+        "n_total": str(report.n_total),
+        "n_circulant": str(report.n_circulant),
+        "n_connected": str(report.n_connected),
+        "methods": {k: str(v) for k, v in report.methods.items()}
+        | {c.genuine_route: str(c.genuine) for c in comparisons},
         "discrepancies": [
             {
-                "quantity": d["quantity"],
-                "method_a": d["method_a"],
-                "value_a": _s(d["value_a"]),
-                "method_b": d["method_b"],
-                "value_b": _s(d["value_b"]),
+                "quantity": c.quantity,
+                "method_a": c.claimed_route,
+                "value_a": str(c.claimed),
+                "method_b": c.genuine_route,
+                "value_b": str(c.genuine),
             }
-            for d in report.discrepancies
+            for c in comparisons
+            if c.status != "pass"
         ],
     }
 
@@ -97,11 +72,6 @@ def _print_count_text(report: polya.CountReport) -> None:
     print(f"n_connected = {report.n_connected}")
     for name, value in report.methods.items():
         print(f"method {name} = {value}")
-    for d in report.discrepancies:
-        print(
-            f"DISCREPANCY {d['quantity']}: {d['method_a']}={d['value_a']} "
-            f"vs {d['method_b']}={d['value_b']}"
-        )
 
 
 def _decimal_digits(n: int) -> int:
@@ -129,7 +99,7 @@ def cmd_count(args) -> int:
     report = polya.count_report(check_odd_prime(args.p))
     _check_printable([report])
     if args.format == "json":
-        print(json.dumps(_report_json(report), indent=2))
+        print(json.dumps(_report_json(report, []), indent=2))
     elif args.format == "csv":
         print(CSV_HEADER)
         print(_csv_row(report))
@@ -145,7 +115,7 @@ def cmd_table(args) -> int:
     reports = [polya.count_report(p) for p in ps]
     _check_printable(reports)
     if args.format == "json":
-        print(json.dumps([_report_json(r) for r in reports], indent=2))
+        print(json.dumps([_report_json(r, []) for r in reports], indent=2))
     elif args.format == "csv":
         print(CSV_HEADER)
         for r in reports:
@@ -158,142 +128,11 @@ def cmd_table(args) -> int:
     return 0
 
 
-def build_verification_report(
-    p: int, level: str, cap: int = oracle.DEFAULT_ORACLE_CAP, workers: int = 1
-) -> VerificationReport:
-    check_odd_prime(p)
-    checks: list[Check] = []
-
-    def add(name: str, ok: bool, details: str, when_bad: str = "fail") -> None:
-        checks.append(Check(name, "pass" if ok else when_bad, details))
-
-    autos = enumerate_aut(p)
-    expected_order = 4 * p * (p - 1)
-    add(
-        "automorphism_count",
-        len(autos) == expected_order,
-        f"{len(autos)} automorphisms, expected {expected_order}",
-    )
-
-    # formula claim vs oracle decomposition: disagreements are reported, not fatal
-    genuine_lengths, genuine = cycle_types(p)
-    claimed_lengths, claimed = closed_form_cycle_types(p)
-    lengths = sorted(set(genuine_lengths) | set(claimed_lengths))
-
-    def on_all_lengths(own: tuple[int, ...], counts: np.ndarray) -> np.ndarray:
-        aligned = np.zeros((len(counts), len(lengths)), dtype=np.int16)
-        aligned[:, np.searchsorted(lengths, own)] = counts
-        return aligned
-
-    differ = on_all_lengths(genuine_lengths, genuine) != on_all_lengths(claimed_lengths, claimed)
-    mismatches = int(differ.any(axis=1).sum())
-    add(
-        "cycle_types_closed_vs_brute",
-        mismatches == 0,
-        f"{mismatches} mismatches over {len(autos)} automorphisms",
-        when_bad="flagged",
-    )
-
-    closed = polya.cycle_index_closed_form(p)
-    brute = polya.cycle_index_bruteforce(p)
-    add(
-        "cycle_index_paths",
-        closed.terms == brute.terms,
-        f"{len(closed.terms)} closed-form terms vs {len(brute.terms)} brute-force terms",
-        when_bad="flagged",
-    )
-    add("cycle_index_at_one", closed.evaluate(1) == 1, f"value {closed.evaluate(1)}")
-    add(
-        "cycle_index_at_one_bruteforce",
-        brute.evaluate(1) == 1,
-        f"value {brute.evaluate(1)}",
-    )
-
-    burnside = oracle.burnside_count(p)
-    total = polya.n_total(p)
-    add(
-        "burnside_vs_closed_form",
-        burnside == total,
-        f"burnside {burnside} vs closed form {total}",
-        when_bad="flagged",
-    )
-    # two oracle paths to the same number: mismatch would mean a real bug
-    brute_eval = brute.evaluate(2)
-    add(
-        "burnside_vs_bruteforce_cycle_index",
-        burnside == brute_eval,
-        f"burnside {burnside} vs brute-force cycle index at 2 {brute_eval}",
-    )
-
-    extra = {"burnside": burnside}
-    if level == "full":
-        orbit_total = oracle.orbit_partition_count(p, cap=cap, workers=workers)
-        extra["orbit_partition"] = orbit_total
-        add(
-            "orbit_partition_vs_burnside",
-            orbit_total == burnside,
-            f"sweep {orbit_total} vs burnside {burnside}",
-        )
-        add(
-            "orbit_partition_vs_closed_form",
-            orbit_total == total,
-            f"sweep {orbit_total} vs closed form {total}",
-            when_bad="flagged",
-        )
-
-        circ_oracle = oracle.circulant_orbit_count(p)
-        extra["oracle_circulant"] = circ_oracle
-        circ_formula = polya.n_circulant(p)
-        add(
-            "circulant_oracle_vs_formula",
-            circ_oracle == circ_formula,
-            f"oracle {circ_oracle} vs formula {circ_formula}",
-            when_bad="flagged",
-        )
-
-        connected = oracle.connected_orbit_count(p, cap=cap, workers=workers)
-        extra["oracle_connected"] = connected
-        conn_formula = polya.n_connected(p)
-        add(
-            "connected_oracle_vs_formula",
-            connected == conn_formula,
-            f"oracle {connected} vs formula {conn_formula}",
-            when_bad="flagged",
-        )
-
-        census = oracle.disconnected_census(p, cap=cap, workers=workers)
-        a_only = census["a_only_orbits"]
-        b_touching = census["b_touching_orbits"]
-        add(
-            "a_only_vs_circulant_squared",
-            a_only == circ_formula**2,
-            f"oracle {a_only} vs formula {circ_formula ** 2}",
-            when_bad="flagged",
-        )
-        add(
-            "b_touching_vs_expected",
-            b_touching == 8,
-            f"oracle {b_touching} vs expected 8",
-            when_bad="flagged",
-        )
-        add(
-            "orbit_partition_identity",
-            connected + a_only + b_touching == orbit_total,
-            f"connected {connected} + a_only {a_only} + b_touching {b_touching} "
-            f"= {connected + a_only + b_touching} vs total {orbit_total}",
-        )
-
-    counts = polya.count_report(p, extra_methods=extra)
-    return VerificationReport(p, level, checks, counts)
-
-
 _STATUS_TAG = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
 
 def cmd_verify(args) -> int:
-    report = build_verification_report(
-        check_odd_prime(args.p), args.level, cap=args.max_oracle_p, workers=args.workers
-    )
+    report = build_verification_report(args.p, args.level, args.max_oracle_p, args.workers)
     exit_status = 1 if report.failed else 0
     if args.format == "json":
         payload = {
@@ -303,7 +142,7 @@ def cmd_verify(args) -> int:
                 {"name": c.name, "status": c.status, "details": c.details}
                 for c in report.checks
             ],
-            "counts": _report_json(report.counts),
+            "counts": _report_json(report.counts, report.comparisons),
             "exit_status": exit_status,
         }
         print(json.dumps(payload, indent=2))
@@ -323,23 +162,19 @@ def cmd_cycle_index(args) -> int:
     if args.eval is not None:
         value = closed.evaluate(args.eval)
         if args.format == "json":
-            print(json.dumps({"p": p, "eval_at": args.eval, "value": _s(value)}))
+            print(json.dumps({"p": p, "eval_at": args.eval, "value": str(value)}))
         else:
             print(value)
         return 0
     brute = polya.cycle_index_bruteforce(p)
-    matches = closed.terms == brute.terms
-    differing = sum(
-        1
-        for mono in set(closed.terms) | set(brute.terms)
-        if closed.terms.get(mono) != brute.terms.get(mono)
-    )
+    # the monomials whose coefficients differ, or that only one side has
+    differing = len({mono for mono, _ in closed.terms.items() ^ brute.terms.items()})
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "p": p,
-                    "matches_bruteforce": matches,
+                    "matches_bruteforce": not differing,
                     "differing_terms": differing,
                     "terms": polya.poly_records(closed),
                 },
@@ -347,7 +182,7 @@ def cmd_cycle_index(args) -> int:
             )
         )
     else:
-        if matches:
+        if not differing:
             note = "matches the brute-force construction"
         else:
             note = (

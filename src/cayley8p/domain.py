@@ -28,6 +28,7 @@ the label identification i ~ -i on the a-power pairs, so it overstates
 some cycle lengths.
 """
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -168,6 +169,18 @@ def _check_int16_classes(p: int) -> None:
         )
 
 
+def check_array_memory(p: int) -> None:
+    """Refuse a p whose int16 permutation array and cycle_counts matrix, both
+    4p(p-1) by about 4p, would take more than half of physical memory."""
+    need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory // 2:
+        raise ValueError(
+            f"p={p} needs {need / 2**20:,.1f} MiB for its int16 permutation and cycle "
+            f"arrays, more than half of the {memory / 2**20:,.1f} MiB of physical memory"
+        )
+
+
 @lru_cache(maxsize=None)
 def induced_permutations(p: int) -> np.ndarray:
     """Induced permutation for every enumerated automorphism, in enumeration order.
@@ -179,6 +192,7 @@ def induced_permutations(p: int) -> np.ndarray:
     """
     check_odd_prime(p)
     _check_int16_classes(p)
+    check_array_memory(p)
     d = build_domain(p)
     n = 2 * p
     blocks = [(family, alpha) for family in (SIGMA, TAU) for alpha in units_mod(n)]

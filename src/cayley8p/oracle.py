@@ -31,7 +31,7 @@ DEFAULT_ORACLE_CAP = 5
 _BITSET_MAX_P = 7  # the census keeps the 8p elements in one uint64
 
 
-def _check_cap(p: int, cap: int) -> None:
+def check_cap(p: int, cap: int) -> None:
     check_odd_prime(p)
     if p > _BITSET_MAX_P:
         raise ValueError(
@@ -79,7 +79,7 @@ def orbit_representatives(
     p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
 ) -> np.ndarray:
     """One minimal mask per orbit, ascending; swept once per (p, workers), read-only."""
-    _check_cap(p, cap)
+    check_cap(p, cap)
     key = (p, workers)
     if key not in _reps_cache:
         reps = sweep_minimal_masks(induced_permutations(p), workers=workers)
@@ -225,7 +225,7 @@ def connected_orbit_count(
     p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
 ) -> int:
     """Orbits whose representative generates the whole group (graph connected)."""
-    _check_cap(p, cap)
+    check_cap(p, cap)
     return _classify_orbits(p, cap, workers)[0]
 
 
@@ -233,7 +233,7 @@ def disconnected_census(
     p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
 ) -> dict[str, int]:
     """Disconnected orbits split by whether the set touches the odd-power block."""
-    _check_cap(p, cap)
+    check_cap(p, cap)
     _, a_only, b_touching = _classify_orbits(p, cap, workers)
     return {"a_only_orbits": a_only, "b_touching_orbits": b_touching}
 

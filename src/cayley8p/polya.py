@@ -153,9 +153,8 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
 def n_total(p: int) -> int:
     """Closed-form count of all graphs, kept in the grouped shape of its source.
 
-    Evaluated with exact rationals and asserted integral; independently it
-    must equal both cycle-index polynomials evaluated at 2 (tested, not
-    assumed here).
+    Evaluated with exact rationals and asserted integral; count_report
+    checks it against the closed-form cycle index at 2.
     """
     check_odd_prime(p)
     block = Fraction(
@@ -205,13 +204,8 @@ def n_connected(p: int) -> int:
 
 @dataclass
 class CountReport:
-    """All counts for one p, with the per-method values that produced them.
-
-    methods maps a method name (closed_form, cycle_index_eval, burnside,
-    orbit_partition, oracle_circulant, oracle_connected) to its value;
-    absent means not computed.  Any numeric disagreement between methods
-    for the same quantity lands in discrepancies instead of being hidden.
-    """
+    """The claimed counts for one p; methods holds the two claimed routes to
+    n_total, closed_form and cycle_index_eval (the closed-form cycle index at 2)."""
 
     p: int
     aut_order: int
@@ -219,56 +213,25 @@ class CountReport:
     n_circulant: int
     n_connected: int
     methods: dict[str, int]
-    discrepancies: list[dict]
 
 
-# which methods measure which quantity, for discrepancy detection
-_QUANTITY_OF_METHOD = {
-    "closed_form": "n_total",
-    "cycle_index_eval": "n_total",
-    "burnside": "n_total",
-    "orbit_partition": "n_total",
-    "oracle_circulant": "n_circulant",
-    "oracle_connected": "n_connected",
-}
-
-
-def count_report(p: int, extra_methods: dict[str, int] | None = None) -> CountReport:
-    """Assemble a CountReport from the closed forms plus any extra method values."""
+def count_report(p: int) -> CountReport:
+    """The claimed counts; two claimed routes to n_total that differ raise."""
     check_odd_prime(p)
-    methods = {
-        "closed_form": n_total(p),
-        "cycle_index_eval": cycle_index_closed_form(p).evaluate(2),
-    }
-    if extra_methods:
-        methods.update(extra_methods)
-    baseline = {
-        "n_total": methods["closed_form"],
-        "n_circulant": n_circulant(p),
-        "n_connected": n_connected(p),
-    }
-    discrepancies = []
-    for name, value in methods.items():
-        quantity = _QUANTITY_OF_METHOD[name]
-        expected = baseline[quantity]
-        if name != "closed_form" and value != expected:
-            discrepancies.append(
-                {
-                    "quantity": quantity,
-                    "method_a": "closed_form" if quantity == "n_total" else "formula",
-                    "value_a": expected,
-                    "method_b": name,
-                    "value_b": value,
-                }
-            )
+    total = n_total(p)
+    at_two = cycle_index_closed_form(p).evaluate(2)
+    if total != at_two:
+        raise ArithmeticError(
+            f"claimed routes to n_total differ at p={p}: "
+            f"closed_form {total} vs cycle_index_eval {at_two}"
+        )
     return CountReport(
         p=p,
         aut_order=4 * p * (p - 1),
-        n_total=baseline["n_total"],
-        n_circulant=baseline["n_circulant"],
-        n_connected=baseline["n_connected"],
-        methods=methods,
-        discrepancies=discrepancies,
+        n_total=total,
+        n_circulant=n_circulant(p),
+        n_connected=n_connected(p),
+        methods={"closed_form": total, "cycle_index_eval": at_two},
     )
 
 

@@ -30,7 +30,6 @@ import numpy as np
 import independent_model as im
 
 from cayley8p.autos import compose, enumerate_aut
-from cayley8p.cli import build_verification_report
 from cayley8p.cli import main as cli_main
 from cayley8p.domain import (
     build_domain,
@@ -68,6 +67,7 @@ from cayley8p.polya import (
     n_connected,
     n_total,
 )
+from cayley8p.verify import build_verification_report
 
 TABLE_TOTALS = {3: 432, 5: 18144, 7: 1824384, 11: 41253667584, 13: 7330997009984}
 TABLE_CIRCULANT = {3: 6, 5: 12, 7: 28, 11: 216, 13: 704}
@@ -274,15 +274,15 @@ def test_criterion_7_oracle_comparison_machinery():
     parts = []
     for p in (3, 5):
         report = build_verification_report(p, "full")
-        methods = report.counts.methods
+        methods = {c.genuine_route for c in report.comparisons}
         oracles_ran = all(
             name in methods
             for name in ("orbit_partition", "oracle_circulant", "oracle_connected")
         )
-        side_by_side = {d["method_b"]: d for d in report.counts.discrepancies}
+        side_by_side = {c.genuine_route: c for c in report.comparisons if c.status != "pass"}
         records_exist = (
-            side_by_side["oracle_circulant"]["value_a"] == n_circulant(p)
-            and side_by_side["oracle_connected"]["value_a"] == n_connected(p)
+            side_by_side["oracle_circulant"].claimed == n_circulant(p)
+            and side_by_side["oracle_connected"].claimed == n_connected(p)
         )
         census = disconnected_census(p)
         disconnected = census["a_only_orbits"] + census["b_touching_orbits"]

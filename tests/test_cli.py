@@ -5,11 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cayley8p import domain
+from cayley8p import domain, polya
 from cayley8p.autos import enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
@@ -68,6 +69,16 @@ def test_count_text(capsys):
     assert "n_circulant = 12" in out
     assert "n_connected = 17992" in out
     assert "DISCREPANCY" not in out
+
+
+def test_count_exits_1_when_two_claimed_routes_disagree(capsys, monkeypatch):
+    original = polya.n_total
+    monkeypatch.setattr(polya, "n_total", lambda p: 433 if p == 3 else original(p))
+    assert main(["count", "--p", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal inconsistency" in captured.err
+    assert "closed_form 433 vs cycle_index_eval 432" in captured.err
 
 
 def test_count_rejects_non_prime(capsys):
@@ -149,7 +160,14 @@ def test_verify_full_json(capsys):
     assert methods["orbit_partition"] == "624"
     assert methods["oracle_circulant"] == "8"
     assert methods["oracle_connected"] == "568"
-    assert len(payload["counts"]["discrepancies"]) == 4
+    claimed_vs_genuine = [
+        ("n_total", "closed_form", "432", "burnside", "624"),
+        ("n_total", "closed_form", "432", "orbit_partition", "624"),
+        ("n_circulant", "formula", "6", "oracle_circulant", "8"),
+        ("n_connected", "formula", "388", "oracle_connected", "568"),
+    ]
+    keys = ("quantity", "method_a", "value_a", "method_b", "value_b")
+    assert payload["counts"]["discrepancies"] == [dict(zip(keys, d)) for d in claimed_vs_genuine]
 
 
 def test_verify_full_p5_exits_zero(capsys):
@@ -182,6 +200,48 @@ def test_verify_refuses_p_beyond_the_census_limit(capsys):
     status = main(["verify", "--p", "11", "--level", "full", "--max-oracle-p", "11"])
     assert status == 2
     assert "p <= 7" in capsys.readouterr().err
+
+
+def _refuse_quick_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quick verification started before the refusal")
+
+    for original in (enumerate_aut, polya.count_report, domain.induced_permutations):
+        _patch_every_binding(monkeypatch, original, refuse)
+
+
+def test_verify_refuses_a_p_beyond_memory_before_any_work(capsys, monkeypatch):
+    _refuse_quick_work(monkeypatch)
+    start = time.perf_counter()
+    status = main(["verify", "--p", "3571"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2
+    assert elapsed < 1
+    assert captured.out == ""
+    assert "error: p=3571 needs 2,778,612.4 MiB" in captured.err
+    assert "physical memory" in captured.err
+
+
+def test_verify_refuses_a_p_beyond_half_of_the_memory_it_reads(capsys, monkeypatch):
+    # 3 MiB of memory; p = 31 needs 2 * 3720 * 124 * 2 bytes, about 1.8 MiB
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 768}.get)
+    assert main(["verify", "--p", "31"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: p=31 needs 1.8 MiB" in captured.err
+    assert "half of the 3.0 MiB of physical memory" in captured.err
+    domain.induced_permutations.cache_clear()
+    with pytest.raises(ValueError, match="p=31 needs 1.8 MiB"):
+        domain.induced_permutations(31)
+
+
+def test_verify_full_checks_the_oracle_cap_before_quick_work(capsys, monkeypatch):
+    _refuse_quick_work(monkeypatch)
+    assert main(["verify", "--p", "211", "--level", "full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need p <= 7" in captured.err
 
 
 def test_verify_rejects_csv_format():
@@ -290,7 +350,7 @@ def test_report_object_shape():
     report = build_verification_report(3, "quick")
     assert not report.failed
     assert [c.name for c in report.checks] == QUICK_CHECKS
-    assert report.counts.methods["burnside"] == 624
+    assert [(c.genuine_route, c.genuine) for c in report.comparisons] == [("burnside", 624)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -349,7 +409,8 @@ def test_verify_never_decomposes_one_permutation_at_a_time(monkeypatch):
         cached.cache_clear()
     report = build_verification_report(31, "quick")
     assert not report.failed
-    assert report.counts.methods["burnside"] == cycle_index_bruteforce(31).evaluate(2)
+    [burnside] = report.comparisons
+    assert burnside.genuine == cycle_index_bruteforce(31).evaluate(2)
 
 
 def test_verify_runs_the_closed_form_case_analysis_once_per_case(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cayley8p import polya
 from cayley8p.polya import (
     CycleIndexPoly,
     count_report,
@@ -126,33 +127,13 @@ def test_count_report_defaults():
     assert (r.p, r.aut_order) == (3, 24)
     assert (r.n_total, r.n_circulant, r.n_connected) == (432, 6, 388)
     assert r.methods == {"closed_form": 432, "cycle_index_eval": 432}
-    assert r.discrepancies == []
 
 
-def test_count_report_flags_disagreeing_methods():
-    r = count_report(3, {"burnside": 624, "oracle_circulant": 8})
-    assert r.methods["burnside"] == 624
-    assert len(r.discrepancies) == 2
-    by_method = {d["method_b"]: d for d in r.discrepancies}
-    assert by_method["burnside"] == {
-        "quantity": "n_total",
-        "method_a": "closed_form",
-        "value_a": 432,
-        "method_b": "burnside",
-        "value_b": 624,
-    }
-    assert by_method["oracle_circulant"] == {
-        "quantity": "n_circulant",
-        "method_a": "formula",
-        "value_a": 6,
-        "method_b": "oracle_circulant",
-        "value_b": 8,
-    }
-
-
-def test_count_report_accepts_agreeing_methods():
-    r = count_report(3, {"orbit_partition": 432})
-    assert r.discrepancies == []
+def test_count_report_refuses_disagreeing_claimed_routes(monkeypatch):
+    """closed_form and cycle_index_eval are two claimed routes to one number."""
+    monkeypatch.setattr(polya, "n_total", lambda p: 433)
+    with pytest.raises(ArithmeticError, match="closed_form 433 vs cycle_index_eval 432"):
+        count_report(3)
 
 
 def test_render_monomial():
