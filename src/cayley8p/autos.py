@@ -2,8 +2,8 @@
 
 Every automorphism is sigma(alpha, beta) or tau(gamma, delta) with the
 first parameter a unit mod 2p and the second any residue mod 2p, giving
-4p(p-1) maps in total.  Maps are stored as parameters; full 8p-entry
-tables are materialized only on demand.
+4p(p-1) maps in total, in the order aut_blocks fixes; every per-map array
+of the package follows it.  Maps are stored as parameters.
 """
 
 from dataclasses import dataclass
@@ -42,16 +42,16 @@ def identity_automorphism(p: int) -> Automorphism:
     return Automorphism(p, SIGMA, 1, 0)
 
 
-def enumerate_aut(p: int) -> list[Automorphism]:
-    """All 4p(p-1) automorphisms: sigma family first, then tau; alpha then beta ascending."""
+def aut_blocks(p: int) -> list[tuple[str, int]]:
+    """The (family, alpha) of each run of 2p maps, beta = 0 .. 2p-1 within a run:
+    the one definition of the map order, sigma then tau, alpha ascending."""
     check_odd_prime(p)
-    n = 2 * p
-    return [
-        Automorphism(p, family, alpha, beta)
-        for family in (SIGMA, TAU)
-        for alpha in units_mod(n)
-        for beta in range(n)
-    ]
+    return [(family, alpha) for family in (SIGMA, TAU) for alpha in units_mod(2 * p)]
+
+
+def enumerate_aut(p: int) -> list[Automorphism]:
+    """All 4p(p-1) automorphisms in aut_blocks order, beta ascending within a run."""
+    return [Automorphism(p, f, alpha, beta) for f, alpha in aut_blocks(p) for beta in range(2 * p)]
 
 
 def apply(f: Automorphism, g: GroupElement) -> GroupElement:

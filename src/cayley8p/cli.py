@@ -16,9 +16,10 @@ Exit status: 0 success, 1 internal inconsistency or failed verification,
 
 This module only parses arguments and renders output: counts come from
 polya, verify's checks and claimed-vs-genuine records from cayley8p.verify.
-cycle-types reads the closed-form cycle types as one int16 array
-(domain.closed_form_cycle_types, one row per map), renders each distinct
-cycle type once and formats the records around it.
+cycle-types reads the closed-form cycle types as one int16 row per case
+and each map's case (domain.closed_form_cycle_types), renders each case
+once and prints one run of 2p records (autos.aut_blocks) at a time, so
+its memory does not grow with the output.
 """
 
 import argparse
@@ -28,9 +29,9 @@ import sys
 from math import log10
 
 from . import oracle, polya
-from .autos import SIGMA, TAU
+from .autos import aut_blocks
 from .domain import closed_form_cycle_types, render_cycle_type
-from .modular import check_odd_prime, units_mod
+from .modular import check_odd_prime
 from .verify import Comparison, build_verification_report
 
 
@@ -197,28 +198,30 @@ def cmd_cycle_index(args) -> int:
 def cmd_cycle_types(args) -> int:
     """One record per map in enumerate_aut order; the same text as rendering
     every closed_form_cycle_type, and in JSON the same bytes as
-    json.dumps(records, indent=2)."""
+    json.dumps(records, indent=2).  A record is its run's label, beta and its
+    case's rendering; each case is rendered once, each run printed at once."""
     p = check_odd_prime(args.p)
-    lengths, counts = closed_form_cycle_types(p)
-    rows = list(map(tuple, counts.tolist()))
-    types = {row: {k: c for k, c in zip(lengths, row) if c} for row in set(rows)}
-    n = 2 * p
-    maps = [(f, a, b) for f in (SIGMA, TAU) for a in units_mod(n) for b in range(n)]
+    lengths, rows, case = closed_form_cycle_types(p)
+    types = [{k: c for k, c in zip(lengths, row) if c} for row in rows.tolist()]
     if args.format == "json":
         # a cycle type sits two levels deep in the list of records
-        rendered = {
-            row: json.dumps({str(k): c for k, c in t.items()}, indent=2).replace("\n", "\n    ")
-            for row, t in types.items()
-        }
-        records = (
-            f'  {{\n    "family": "{f}",\n    "alpha": {a},\n    "beta": {b},\n'
-            f'    "cycle_type": {rendered[row]}\n  }}'
-            for (f, a, b), row in zip(maps, rows)
-        )
-        print("[\n" + ",\n".join(records) + "\n]")
+        label = '  {{\n    "family": "{}",\n    "alpha": {},\n    "beta": '
+        rendered = [
+            ',\n    "cycle_type": ' + json.dumps(t, indent=2).replace("\n", "\n    ") + "\n  }"
+            for t in types
+        ]
+        head, sep, tail = "[\n", ",\n", "\n]"
     else:
-        rendered = {row: render_cycle_type(t) for row, t in types.items()}
-        print("\n".join(f"{f}({a},{b}): {rendered[row]}" for (f, a, b), row in zip(maps, rows)))
+        label = "{}({},"
+        rendered = ["): " + render_cycle_type(t) for t in types]
+        head, sep, tail = "", "\n", ""
+    n = 2 * p
+    for i, (family, alpha) in enumerate(aut_blocks(p)):
+        start = label.format(family, alpha)
+        run = case[i * n : (i + 1) * n].tolist()
+        records = (f"{start}{b}{rendered[r]}" for b, r in enumerate(run))
+        print(sep if i else head, sep.join(records), sep="", end="")
+    print(tail)
     return 0
 
 

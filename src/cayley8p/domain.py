@@ -16,10 +16,10 @@ numpy, by pointer jumping; Burnside, the brute-force cycle index and the
 verify check all read that one result.  cycle_type_of decomposes a single
 permutation in Python and stays as the scalar reference.
 
-The closed-form side has the same layout: closed_form_cycle_types(p) runs
-the scalar case analysis closed_form_cycle_type once per case (4p calls
-per p) and fills one int16 row per map by numpy indexing; the verify check
-compares the two arrays, and the cycle-types command renders from it.
+The closed-form side has the same layout, stored once per case:
+closed_form_cycle_types(p) runs the scalar closed_form_cycle_type on each
+of the 4p cases and keeps one int16 row per case and each map's case; the
+verify check compares rows[case], and cycle-types renders each case once.
 
 The decomposition is the ground truth; the closed-form case analysis
 (closed_form_cycle_type) is compared with it, not assumed equal: it
@@ -35,9 +35,9 @@ from math import gcd
 
 import numpy as np
 
-from .autos import SIGMA, TAU, Automorphism, apply
+from .autos import SIGMA, Automorphism, aut_blocks, apply
 from .group import GroupElement, element_index, inv
-from .modular import check_odd_prime, discrete_log, primitive_root_2p, units_mod
+from .modular import check_odd_prime, discrete_log, primitive_root_2p
 
 KIND_A1 = "A1"
 KIND_A2 = "A2"
@@ -193,11 +193,10 @@ def induced_permutations(p: int) -> np.ndarray:
     check_odd_prime(p)
     _check_int16_classes(p)
     check_array_memory(p)
-    d = build_domain(p)
     n = 2 * p
-    blocks = [(family, alpha) for family in (SIGMA, TAU) for alpha in units_mod(n)]
+    blocks = aut_blocks(p)
     perms = np.empty((len(blocks) * n, 4 * p), dtype=np.int16)
-    for i, block in enumerate(_induced_blocks(d, blocks)):
+    for i, block in enumerate(_induced_blocks(build_domain(p), blocks)):
         perms[i * n : (i + 1) * n] = block
     perms.flags.writeable = False
     return perms
@@ -348,42 +347,34 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def closed_form_cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """closed_form_cycle_type of every enumerated map, laid out as cycle_types(p).
+def closed_form_cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """closed_form_cycle_type of every enumerated map, one row per case.
 
-    Returns (lengths, counts): the cycle lengths that occur, ascending, and
-    a read-only int16 array with one row per map in enumerate_aut order.
     The case analysis reads beta only through which of {0, p, other even,
-    other odd} it is, and for alpha != 1 only through its parity, so it
-    runs once per case on a representative map: 4p calls per p.  Each
-    block of the 2p maps that share (family, alpha) then picks its rows
-    from its case rows by index.
+    other odd} it is, and for alpha != 1 only through its parity, so the
+    4p(p-1) maps fall into 4p cases and it runs once per case on a
+    representative map.  Returns (lengths, rows, case): the cycle lengths
+    that occur, ascending; a read-only int16 array with one row per case,
+    laid out as cycle_types(p); and a read-only int16 array giving each
+    map's row, in enumerate_aut order.  rows[case] is the per-map array.
     """
     check_odd_prime(p)
-    _check_int16_classes(p)
-    n = 2 * p
-    beta = np.arange(n)
+    _check_int16_classes(p)  # case numbers are below 4p
+    beta = np.arange(2 * p, dtype=np.int16)
     parity = beta % 2
     # alpha = 1: representatives (other even, other odd, 0, p), indexed by
     # parity, plus 2 for the two special shifts
-    special = parity + 2 * ((beta == 0) | (beta == p))
-    blocks = []
-    for family in (SIGMA, TAU):
-        for alpha in units_mod(n):
-            reps, case = ((2, 1, 0, p), special) if alpha == 1 else ((0, 1), parity)
-            types = [closed_form_cycle_type(Automorphism(p, family, alpha, b)) for b in reps]
-            blocks.append((types, case))
-    lengths = tuple(sorted({k for types, _ in blocks for t in types for k in t}))
-    column = {k: j for j, k in enumerate(lengths)}
-    counts = np.empty((len(blocks) * n, len(lengths)), dtype=np.int16)
-    for i, (types, case) in enumerate(blocks):
-        rows = np.zeros((len(types), len(lengths)), dtype=np.int16)
-        for r, t in enumerate(types):
-            for k, c in t.items():
-                rows[r, column[k]] = c
-        counts[i * n : (i + 1) * n] = rows[case]
-    counts.flags.writeable = False
-    return lengths, counts
+    special = np.where((beta == 0) | (beta == p), parity + 2, parity)
+    types, picks = [], []
+    for family, alpha in aut_blocks(p):
+        reps, pick = ((2, 1, 0, p), special) if alpha == 1 else ((0, 1), parity)
+        picks.append(pick + len(types))
+        types += [closed_form_cycle_type(Automorphism(p, family, alpha, b)) for b in reps]
+    lengths = tuple(sorted({k for t in types for k in t}))
+    rows = np.array([[t.get(k, 0) for k in lengths] for t in types], dtype=np.int16)
+    case = np.concatenate(picks)
+    rows.flags.writeable = case.flags.writeable = False
+    return lengths, rows, case
 
 
 def render_cycle_type(counts: dict[int, int]) -> str:

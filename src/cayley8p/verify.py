@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, polya
-from .autos import enumerate_aut
 from .domain import check_array_memory, closed_form_cycle_types, cycle_types
 from .modular import check_odd_prime
 
@@ -96,16 +95,16 @@ def build_verification_report(
         claimed = getattr(counts, quantity)
         checks.append(Comparison(p, quantity, claimed_route, claimed, genuine_route, genuine))
 
-    autos = enumerate_aut(p)
+    genuine_lengths, genuine = cycle_types(p)
+    claimed_lengths, claimed_rows, case = closed_form_cycle_types(p)
+    claimed = claimed_rows[case]
     add(
         "automorphism_count",
-        len(autos) == counts.aut_order,
-        f"{len(autos)} automorphisms, expected {counts.aut_order}",
+        len(genuine) == len(claimed) == counts.aut_order,
+        f"{len(genuine)} automorphisms, expected {counts.aut_order}",
     )
 
     # formula claim vs oracle decomposition: disagreements are reported, not fatal
-    genuine_lengths, genuine = cycle_types(p)
-    claimed_lengths, claimed = closed_form_cycle_types(p)
     lengths = sorted(set(genuine_lengths) | set(claimed_lengths))
 
     def on_all_lengths(own: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
@@ -118,7 +117,7 @@ def build_verification_report(
     add(
         "cycle_types_closed_vs_brute",
         mismatches == 0,
-        f"{mismatches} mismatches over {len(autos)} automorphisms",
+        f"{mismatches} mismatches over {len(genuine)} automorphisms",
         when_bad="flagged",
     )
 

@@ -8,12 +8,15 @@ from cayley8p.autos import (
     TAU,
     Automorphism,
     apply,
+    aut_blocks,
     compose,
     enumerate_aut,
     identity_automorphism,
     verify_automorphism,
 )
 from cayley8p.group import GroupElement, all_elements, mul
+
+PRIMES = (3, 5, 7, 11, 13)
 
 
 def test_parameter_validation():
@@ -40,6 +43,12 @@ def test_enumeration_count_and_order():
     autos3 = enumerate_aut(3)
     assert autos3[0] == identity_automorphism(3)
     assert [f.family for f in autos3] == [SIGMA] * 12 + [TAU] * 12
+
+
+def test_aut_blocks_name_every_run_of_2p_maps():
+    for p in PRIMES:
+        firsts = enumerate_aut(p)[:: 2 * p]
+        assert aut_blocks(p) == [(f.family, f.alpha) for f in firsts]
 
 
 def test_identity_automorphism_fixes_everything():

@@ -1,17 +1,19 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
+import contextlib
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from cayley8p import domain, polya
-from cayley8p.autos import enumerate_aut
+from cayley8p.autos import aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
 from cayley8p.polya import cycle_index_bruteforce, n_total
@@ -206,7 +208,7 @@ def _refuse_quick_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quick verification started before the refusal")
 
-    for original in (enumerate_aut, polya.count_report, domain.induced_permutations):
+    for original in (enumerate_aut, aut_blocks, polya.count_report, domain.induced_permutations):
         _patch_every_binding(monkeypatch, original, refuse)
 
 
@@ -315,6 +317,22 @@ def test_cycle_types_match_a_reference_rendering(capsys, p):
     assert run(capsys, "cycle-types", "--p", str(p)) == (0, want)
 
 
+def test_cycle_types_memory_does_not_grow_with_the_output():
+    """At p = 211 the JSON is 177240 records, 22.5 MiB: each case is rendered
+    once and the records go out one run of 2p at a time, so the traced peak
+    stays well below the size of the output."""
+    domain.closed_form_cycle_types.cache_clear()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            status = main(["cycle-types", "--p", "211", "--format", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert status == 0
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_cycle_types_refuses_p_beyond_int16_before_output(capsys, monkeypatch, fmt):
     def refuse(f):
@@ -411,6 +429,21 @@ def test_verify_never_decomposes_one_permutation_at_a_time(monkeypatch):
     assert not report.failed
     [burnside] = report.comparisons
     assert burnside.genuine == cycle_index_bruteforce(31).evaluate(2)
+
+
+def test_verify_never_enumerates_automorphism_objects(monkeypatch):
+    """The verify path counts maps as array rows; enumerate_aut is not called."""
+
+    def refuse(p):
+        raise AssertionError("enumerate_aut called on the verify path")
+
+    _patch_every_binding(monkeypatch, enumerate_aut, refuse)
+    for cached in (domain.induced_permutations, domain.cycle_types, domain.closed_form_cycle_types):
+        cached.cache_clear()
+    report = build_verification_report(31, "quick")
+    assert not report.failed
+    details = {c.name: c.details for c in report.checks}
+    assert details["automorphism_count"] == "3720 automorphisms, expected 3720"
 
 
 def test_verify_runs_the_closed_form_case_analysis_once_per_case(monkeypatch):

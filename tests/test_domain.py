@@ -152,19 +152,20 @@ def test_matches_independent_model():
 def test_permutation_array_and_cycle_rows_are_read_only_int16():
     for p in PRIMES:
         perms = induced_permutations(p)
-        assert perms.dtype == np.int16
         assert perms.shape == (4 * p * (p - 1), 4 * p)
-        arrays = [perms]
-        for lengths, counts in (cycle_types(p), closed_form_cycle_types(p)):
-            assert counts.dtype == np.int16
+        genuine_lengths, genuine = cycle_types(p)
+        claimed_lengths, rows, case = closed_form_cycle_types(p)
+        assert rows.shape[0] == 4 * p  # one row per case
+        assert case.shape == (4 * p * (p - 1),)
+        for lengths, counts in ((genuine_lengths, genuine), (claimed_lengths, rows[case])):
             assert counts.shape == (4 * p * (p - 1), len(lengths))
             assert list(lengths) == sorted(set(lengths))
             assert counts.any(axis=0).all()  # only lengths that occur
-            arrays.append(counts)
-        for array in arrays:
+        for array in (perms, genuine, rows, case):
+            assert array.dtype == np.int16
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 0
+                array[(0,) * array.ndim] = 0
 
 
 def test_int16_limits_are_refused_before_any_work(monkeypatch):
@@ -196,7 +197,8 @@ def test_array_cycle_types_match_cycle_type_of():
 def test_closed_form_array_matches_the_scalar_case_analysis():
     """One scalar call per case, spread over its maps, equals one call per map."""
     for p in PRIMES:
-        assert _as_dicts(*closed_form_cycle_types(p)) == [
+        lengths, rows, case = closed_form_cycle_types(p)
+        assert _as_dicts(lengths, rows[case]) == [
             closed_form_cycle_type(f) for f in enumerate_aut(p)
         ]
 
