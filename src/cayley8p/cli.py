@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from math import log10
 
 from . import oracle, polya
@@ -81,16 +82,17 @@ def _decimal_digits(n: int) -> int:
     return digits - (n < 10 ** (digits - 1))
 
 
-def _check_printable(reports: list[polya.CountReport]) -> None:
-    """Refuse, before anything is printed, a count longer than Python's int-to-str limit."""
+def _check_printable(named: Iterable[tuple[str, int]]) -> None:
+    """Refuse, before anything is printed, a number longer than Python's int-to-str
+    limit; named gives each number with the words that name it in the refusal."""
     limit = sys.get_int_max_str_digits()
     if not limit:
         return
     too_long = 10**limit
-    for r in reports:
-        if r.n_total >= too_long:
+    for name, value in named:
+        if abs(value) >= too_long:
             raise ValueError(
-                f"n_total at p={r.p} has {_decimal_digits(r.n_total)} decimal digits, "
+                f"{name} has {_decimal_digits(abs(value))} decimal digits, "
                 f"more than the {limit} Python converts to text; raise the limit with "
                 f"PYTHONINTMAXSTRDIGITS or -X int_max_str_digits"
             )
@@ -98,7 +100,8 @@ def _check_printable(reports: list[polya.CountReport]) -> None:
 
 def cmd_count(args) -> int:
     report = polya.count_report(check_odd_prime(args.p))
-    _check_printable([report])
+    # n_total is the longest number a count report prints
+    _check_printable([(f"n_total at p={report.p}", report.n_total)])
     if args.format == "json":
         print(json.dumps(_report_json(report, []), indent=2))
     elif args.format == "csv":
@@ -114,7 +117,7 @@ def cmd_table(args) -> int:
     if not ps:
         raise ValueError(f"--p-list names no prime: {args.p_list!r}")
     reports = [polya.count_report(p) for p in ps]
-    _check_printable(reports)
+    _check_printable((f"n_total at p={r.p}", r.n_total) for r in reports)
     if args.format == "json":
         print(json.dumps([_report_json(r, []) for r in reports], indent=2))
     elif args.format == "csv":
@@ -162,6 +165,7 @@ def cmd_cycle_index(args) -> int:
     closed = polya.cycle_index_closed_form(p)
     if args.eval is not None:
         value = closed.evaluate(args.eval)
+        _check_printable([(f"the cycle index at p={p}, m={args.eval}", value)])
         if args.format == "json":
             print(json.dumps({"p": p, "eval_at": args.eval, "value": str(value)}))
         else:
@@ -169,7 +173,7 @@ def cmd_cycle_index(args) -> int:
         return 0
     brute = polya.cycle_index_bruteforce(p)
     # the monomials whose coefficients differ, or that only one side has
-    differing = len({mono for mono, _ in closed.terms.items() ^ brute.terms.items()})
+    differing = len({mono for mono, _ in closed.weights.items() ^ brute.weights.items()})
     if args.format == "json":
         print(
             json.dumps(

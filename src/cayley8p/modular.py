@@ -4,7 +4,10 @@ Everything here is plain integer arithmetic: totients, divisor lists,
 multiplicative orders, the smallest primitive root of Z_{2p}^*, discrete
 logarithms with respect to it, and the unique-unit solver for
 x - alpha*x = t (mod 2p).  p is always validated as an odd prime by
-trial division; these routines are meant for desk-scale p.
+trial division; these routines are meant for desk-scale p.  euler_phi
+and divisors are cached, because each closed-form count asks for the
+same divisors of p - 1 and their totients; divisors returns a tuple, so
+no caller can change a cached result.
 """
 
 from functools import lru_cache
@@ -29,6 +32,7 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Count the units mod n."""
     if n < 1:
@@ -47,7 +51,8 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def divisors(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def divisors(n: int) -> tuple[int, ...]:
     """All divisors of n, ascending."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
@@ -59,7 +64,7 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def units_mod(n: int) -> list[int]:

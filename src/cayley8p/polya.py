@@ -4,23 +4,24 @@ The cycle index of the automorphism action on the 4p classes is built
 two independent ways: by averaging brute-force cycle types over all
 4p(p-1) maps, and from the closed-form expression (one 1/(4p) block of
 eight signed monomials plus four divisor sums weighted 1/(4(p-1))).
-Both are exact-rational term maps; the verification layer compares them
-term by term and reports any disagreement instead of hiding it.  The
-closed form adds integer weights in units of 1/|Aut| and makes one
-Fraction per monomial; evaluate sums integers over the common denominator
-of the coefficients and divides once.
+Both count in units of 1/|Aut|: a polynomial is an integer weight per
+monomial over the order |Aut|, and `terms` shows the same polynomial as
+exact fractions.  The verification layer compares the two term by term
+and reports any disagreement instead of hiding it.  evaluate sums
+integers, shifting instead of raising to a power when m is a power of
+two, and divides once by |Aut|.
 
 Counts:  n_total evaluates the closed-form count formula (and must match
 the cycle index at 2), n_circulant counts circulant graphs of order 2p,
 and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
-All arithmetic is exact; results are unbounded integers.
+Both formulas sum one integer numerator over their common denominator
+and divide once.  All arithmetic is exact; results are unbounded integers.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .domain import cycle_types
 from .modular import check_odd_prime, divisors, euler_phi
@@ -48,43 +49,50 @@ def weighted_degree(m: Monomial) -> int:
 
 @dataclass(frozen=True, eq=True)
 class CycleIndexPoly:
-    """Exact-rational polynomial as a term map; equality is structural."""
+    """Polynomial as integer weights over a common order; equality is structural."""
 
     p: int
-    terms: dict[Monomial, Fraction]
+    order: int
+    weights: dict[Monomial, int]
 
-    def evaluate(self, m: int):
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The same polynomial with exact-rational coefficients."""
+        return {mono: Fraction(w, self.order) for mono, w in self.weights.items()}
+
+    def evaluate(self, m: int) -> int:
         """Substitute every variable by m; the result must be an integer.
 
-        The sum runs in integers over the common denominator D of the
-        coefficients: each term adds numerator * (D / denominator) * m^e,
-        e its number of cycles, and one division by D ends it.
+        Each term adds weight * m^e, e its number of cycles, and one
+        division by the order ends the sum.  For m = 2^k the power is a
+        shift by k*e bits.
         """
-        common = lcm(*(c.denominator for c in self.terms.values()))
-        total = sum(
-            c.numerator * (common // c.denominator) * m ** sum(e for _, e in mono)
-            for mono, c in self.terms.items()
-        )
-        value, rest = divmod(total, common)
+        k = m.bit_length() - 1
+        if m > 0 and m == 1 << k:
+            total = sum(w << k * sum(e for _, e in mono) for mono, w in self.weights.items())
+        else:
+            total = sum(w * m ** sum(e for _, e in mono) for mono, w in self.weights.items())
+        value, rest = divmod(total, self.order)
         if rest:
             raise ArithmeticError(
-                f"cycle index at {m} is not an integer: {Fraction(total, common)} "
+                f"cycle index at {m} is not an integer: {Fraction(total, self.order)} "
                 "(corrupted polynomial)"
             )
         return value
 
 
-def _validate(p: int, terms: dict[Monomial, Fraction]) -> CycleIndexPoly:
-    cleaned = {m: c for m, c in terms.items() if c != 0}
-    for m, c in cleaned.items():
-        if c <= 0:
-            raise ArithmeticError(f"non-positive coefficient {c} on {m}")
+def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
+    """Weights in units of 1/|Aut|: positive, of weighted degree 4p, summing to |Aut|."""
+    aut_order = 4 * p * (p - 1)
+    cleaned = {m: w for m, w in weights.items() if w}
+    for m, w in cleaned.items():
+        if w < 0:
+            raise ArithmeticError(f"non-positive coefficient {Fraction(w, aut_order)} on {m}")
         if weighted_degree(m) != 4 * p:
             raise ArithmeticError(f"monomial {m} has weighted degree != {4 * p}")
-    poly = CycleIndexPoly(p, cleaned)
-    if poly.evaluate(1) != 1:
+    if sum(cleaned.values()) != aut_order:
         raise ArithmeticError("cycle index does not evaluate to 1 at all-ones")
-    return poly
+    return CycleIndexPoly(p, aut_order, cleaned)
 
 
 @lru_cache(maxsize=None)
@@ -92,16 +100,15 @@ def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
     """Average the monomials of the decomposed induced permutations.
 
     Maps with the same cycle type share one monomial; each distinct type
-    adds (its number of maps) / |Aut| once.
+    adds its number of maps, in units of 1/|Aut|, once.
     """
     check_odd_prime(p)
-    aut_order = 4 * p * (p - 1)
     lengths, counts = cycle_types(p)
-    terms = {
-        tuple((k, e) for k, e in zip(lengths, row) if e): Fraction(maps, aut_order)
+    weights = {
+        tuple((k, e) for k, e in zip(lengths, row) if e): maps
         for row, maps in Counter(map(tuple, counts.tolist())).items()
     }
-    return _validate(p, terms)
+    return _validate(p, weights)
 
 
 @lru_cache(maxsize=None)
@@ -113,8 +120,7 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
     only on the final term map.
     """
     check_odd_prime(p)
-    aut_order = 4 * p * (p - 1)
-    # integer weights in units of 1/|Aut|; one Fraction per monomial at the end
+    # integer weights in units of 1/|Aut|
     weights: dict[Monomial, int] = {}
 
     def add(weight: int, mono: Monomial) -> None:
@@ -146,55 +152,55 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
             add(w, monomial((1, 2), (2, 1), (d, 2 * q), (2 * d, q)))
             add(w, monomial((1, 2), (2, 1), (d, q), (2 * d, 3 * q // 2)))
             add(w, monomial((1, 4), (d, 3 * q), (2 * d, q // 2)))
-    return _validate(p, {mono: Fraction(w, aut_order) for mono, w in weights.items()})
+    return _validate(p, weights)
 
 
 @lru_cache(maxsize=None)
 def n_total(p: int) -> int:
     """Closed-form count of all graphs, kept in the grouped shape of its source.
 
-    Evaluated with exact rationals and asserted integral; count_report
-    checks it against the closed-form cycle index at 2.
+    The 1/(4p) block and the four 1/(p-1) divisor sums add into one
+    numerator over |Aut| = 4p(p-1), asserted divisible; count_report
+    checks the result against the closed-form cycle index at 2.
     """
     check_odd_prime(p)
-    block = Fraction(
-        -(2 ** (4 * p))
-        + 2 ** (2 * p) * (-(2**p) + 6)
-        - 2 ** ((5 * p + 1) // 2)
-        + 2 ** ((p - 1) // 2) * (-(2 ** (3 * p + 1)) + 2 ** (p + 3) + 2 ** (p + 2)),
-        4 * p,
+    aut_order = 4 * p * (p - 1)
+    block = (  # over 4p
+        -(1 << (4 * p))
+        + (1 << (2 * p)) * (-(1 << p) + 6)
+        - (1 << ((5 * p + 1) // 2))
+        + (1 << ((p - 1) // 2)) * (-(1 << (3 * p + 1)) + (1 << (p + 3)) + (1 << (p + 2)))
     )
+    # the divisor sums, each over p - 1
     ds = divisors(p - 1)
-    all_d = Fraction(4, p - 1) * sum(
-        euler_phi(d) * 2 ** (4 * (p - 1) // d) for d in ds
-    )
-    even_d = Fraction(8, p - 1) * sum(
-        euler_phi(d) * 2 ** (4 * (p - 1) // d) for d in ds if d % 2 == 0
-    )
-    odd_d = Fraction(2, p - 1) * sum(
-        euler_phi(d) * (2 ** (3 * (p - 1) // d) + 2 ** (5 * (p - 1) // (2 * d)))
+    all_d = 4 * sum(euler_phi(d) << (4 * (p - 1) // d) for d in ds)
+    even_d = 8 * sum(euler_phi(d) << (4 * (p - 1) // d) for d in ds if d % 2 == 0)
+    odd_d = 2 * sum(
+        euler_phi(d) * ((1 << (3 * (p - 1) // d)) + (1 << (5 * (p - 1) // (2 * d))))
         for d in ds
         if d % 2 == 1
     )
-    odd_d2 = Fraction(4, p - 1) * sum(
-        euler_phi(d) * 2 ** (7 * (p - 1) // (2 * d)) for d in ds if d % 2 == 1
-    )
-    total = block + all_d + even_d + odd_d + odd_d2
-    if total.denominator != 1:
-        raise ArithmeticError(f"count formula gave non-integer {total} at p={p}")
-    return total.numerator
+    odd_d2 = 4 * sum(euler_phi(d) << (7 * (p - 1) // (2 * d)) for d in ds if d % 2 == 1)
+    numerator = (p - 1) * block + 4 * p * (all_d + even_d + odd_d + odd_d2)
+    total, rest = divmod(numerator, aut_order)
+    if rest:
+        raise ArithmeticError(
+            f"count formula gave non-integer {Fraction(numerator, aut_order)} at p={p}"
+        )
+    return total
 
 
 @lru_cache(maxsize=None)
 def n_circulant(p: int) -> int:
     """Closed-form count of circulant graphs of order 2p."""
     check_odd_prime(p)
-    total = Fraction(2, p - 1) * sum(
-        euler_phi(d) * 2 ** ((p - 1) // d) for d in divisors(p - 1)
-    )
-    if total.denominator != 1:
-        raise ArithmeticError(f"circulant formula gave non-integer {total} at p={p}")
-    return total.numerator
+    numerator = 2 * sum(euler_phi(d) << ((p - 1) // d) for d in divisors(p - 1))
+    total, rest = divmod(numerator, p - 1)
+    if rest:
+        raise ArithmeticError(
+            f"circulant formula gave non-integer {Fraction(numerator, p - 1)} at p={p}"
+        )
+    return total
 
 
 def n_connected(p: int) -> int:

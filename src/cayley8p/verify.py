@@ -125,8 +125,8 @@ def build_verification_report(
     brute = polya.cycle_index_bruteforce(p)
     add(
         "cycle_index_paths",
-        closed.terms == brute.terms,
-        f"{len(closed.terms)} closed-form terms vs {len(brute.terms)} brute-force terms",
+        closed.weights == brute.weights,
+        f"{len(closed.weights)} closed-form terms vs {len(brute.weights)} brute-force terms",
         when_bad="flagged",
     )
     add("cycle_index_at_one", closed.evaluate(1) == 1, f"value {closed.evaluate(1)}")

@@ -49,7 +49,7 @@ from cayley8p.group import (
     mul,
 )
 from cayley8p.kernels import warmup
-from cayley8p.modular import units_mod, unique_x
+from cayley8p.modular import divisors, euler_phi, units_mod, unique_x
 from cayley8p.oracle import (
     build_cayley_graph,
     burnside_count,
@@ -87,7 +87,7 @@ def _criterion(n: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_totals_by_both_closed_paths():
-    for cached in (n_total, cycle_index_closed_form):
+    for cached in (n_total, cycle_index_closed_form, divisors, euler_phi):
         cached.cache_clear()
     t0 = time.perf_counter()
     formula = {p: n_total(p) for p in TABLE_TOTALS}

@@ -408,6 +408,23 @@ def test_counts_too_long_to_print_are_refused_before_output(capsys, fmt):
     assert text in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("m", [3, -3])
+def test_cycle_index_values_too_long_to_print_are_refused_before_output(capsys, fmt, m):
+    value = polya.cycle_index_closed_form(3571).evaluate(m)
+    text = _with_int_max_str_digits(0, lambda: str(abs(value)))
+    argv = ["cycle-index", "--p", "3571", "--eval", str(m), "--format", fmt]
+    status = _with_int_max_str_digits(4300, lambda: main(argv))
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert f"cycle index at p=3571, m={m} has {len(text)} decimal digits" in captured.err
+    assert "4300" in captured.err
+    status = _with_int_max_str_digits(0, lambda: main(argv))
+    assert status == 0
+    assert text in capsys.readouterr().out
+
+
 def _patch_every_binding(monkeypatch, original, replacement):
     """Replace original under every name a cayley8p module binds it to."""
     for name, module in list(sys.modules.items()):

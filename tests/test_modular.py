@@ -53,9 +53,9 @@ def test_euler_phi_matches_gcd_count():
 
 
 def test_divisors():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
-    assert divisors(30) == [1, 2, 3, 5, 6, 10, 15, 30]
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert divisors(1) == (1,)
+    assert divisors(30) == (1, 2, 3, 5, 6, 10, 15, 30)
     with pytest.raises(ValueError):
         divisors(0)
 

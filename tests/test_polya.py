@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cayley8p import polya
+from cayley8p.modular import divisors, euler_phi, is_odd_prime
 from cayley8p.polya import (
     CycleIndexPoly,
     count_report,
@@ -110,16 +111,95 @@ def _fraction_sum(poly: CycleIndexPoly, m: int) -> Fraction:
 def test_evaluate_matches_a_fraction_sum():
     for p in PRIMES:
         for poly in (cycle_index_bruteforce(p), cycle_index_closed_form(p)):
-            for m in (-1, 0, 2, 3):
+            for m in (-2, -1, 0, 1, 2, 3, 4):
                 want = _fraction_sum(poly, m)
                 assert want.denominator == 1
                 assert poly.evaluate(m) == want.numerator
 
 
 def test_evaluate_rejects_non_integer():
-    poly = CycleIndexPoly(3, {monomial((1, 1)): Fraction(1, 3)})
-    with pytest.raises(ArithmeticError):
+    poly = CycleIndexPoly(3, 6, {monomial((1, 1)): 1})  # x1/6, worth 1/3 at 2
+    with pytest.raises(ArithmeticError, match="cycle index at 2 is not an integer: 1/3"):
         poly.evaluate(2)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda w: w | {monomial((1, 12)): -1}, "non-positive coefficient -1/24"),
+        (lambda w: w | {monomial((1, 11)): 1}, "weighted degree != 12"),
+        (lambda w: w | {monomial((1, 12)): 2}, "does not evaluate to 1 at all-ones"),
+    ],
+)
+def test_validate_refuses_a_corrupted_polynomial(change, message):
+    weights = cycle_index_closed_form(3).weights
+    assert polya._validate(3, dict(weights)).weights == weights
+    with pytest.raises(ArithmeticError, match=message):
+        polya._validate(3, change(weights))
+
+
+def test_count_formulas_refuse_a_non_integer_result(monkeypatch):
+    """With phi(1) = 2, both numerators at p = 11 miss a multiple of their denominator."""
+    monkeypatch.setattr(polya, "euler_phi", lambda d: 2 if d == 1 else euler_phi(d))
+    try:
+        n_total.cache_clear()
+        n_circulant.cache_clear()
+        with pytest.raises(ArithmeticError, match="non-integer 2475118366464/5 at p=11"):
+            n_total(11)
+        with pytest.raises(ArithmeticError, match="non-integer 2104/5 at p=11"):
+            n_circulant(11)
+    finally:
+        n_total.cache_clear()
+        n_circulant.cache_clear()
+
+
+def _fraction_n_total(p: int) -> int:
+    """Reference: the count formula summed as exact rationals, group by group."""
+    block = Fraction(
+        -(2 ** (4 * p))
+        + 2 ** (2 * p) * (-(2**p) + 6)
+        - 2 ** ((5 * p + 1) // 2)
+        + 2 ** ((p - 1) // 2) * (-(2 ** (3 * p + 1)) + 2 ** (p + 3) + 2 ** (p + 2)),
+        4 * p,
+    )
+    ds = divisors(p - 1)
+    all_d = Fraction(4, p - 1) * sum(
+        euler_phi(d) * 2 ** (4 * (p - 1) // d) for d in ds
+    )
+    even_d = Fraction(8, p - 1) * sum(
+        euler_phi(d) * 2 ** (4 * (p - 1) // d) for d in ds if d % 2 == 0
+    )
+    odd_d = Fraction(2, p - 1) * sum(
+        euler_phi(d) * (2 ** (3 * (p - 1) // d) + 2 ** (5 * (p - 1) // (2 * d)))
+        for d in ds
+        if d % 2 == 1
+    )
+    odd_d2 = Fraction(4, p - 1) * sum(
+        euler_phi(d) * 2 ** (7 * (p - 1) // (2 * d)) for d in ds if d % 2 == 1
+    )
+    total = block + all_d + even_d + odd_d + odd_d2
+    assert total.denominator == 1
+    return total.numerator
+
+
+def _fraction_n_circulant(p: int) -> int:
+    total = Fraction(2, p - 1) * sum(
+        euler_phi(d) * 2 ** ((p - 1) // d) for d in divisors(p - 1)
+    )
+    assert total.denominator == 1
+    return total.numerator
+
+
+ODD_PRIMES_BELOW_3571 = [p for p in range(3, 3571) if is_odd_prime(p)]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_3571[::10] + [3571])
+def test_integer_counts_match_the_fraction_reference(p):
+    total, circulant = _fraction_n_total(p), _fraction_n_circulant(p)
+    assert (n_total(p), n_circulant(p)) == (total, circulant)
+    r = count_report(p)
+    assert (r.n_total, r.n_circulant, r.n_connected) == (total, circulant, total - circulant**2 - 8)
+    assert r.methods == {"closed_form": total, "cycle_index_eval": total}
 
 
 def test_count_report_defaults():
