@@ -98,6 +98,34 @@ def _check_printable(named: Iterable[tuple[str, int]]) -> None:
             )
 
 
+def _check_evaluable(poly: polya.CycleIndexPoly, m: int, name: str) -> None:
+    """Refuse, before evaluating it, a cycle index value that is provably too
+    long to print.
+
+    With n = 4p, the weighted-degree check admits exactly one monomial with
+    n cycles, x_1^n, and every other monomial has at most n - 1.  Let W be
+    the weight of x_1^n and R = order - W the rest (all weights are positive
+    and sum to the order).  For |m| >= 1,
+        order * |value| >= W |m|^n - R |m|^(n-1) = |m|^(n-1) (W |m| - R).
+    When W |m| > R the last factor is at least 1, so |value| >= |m|^(n-1) / order.
+    With d the digits of |m| and D those of the order, |m| >= 10^(d-1) and
+    order < 10^D, so |value| > 10^E with E = (n-1)(d-1) - D: the value has at
+    least E + 1 digits, and E >= limit means it is not printable.
+    """
+    limit = sys.get_int_max_str_digits()
+    n = 4 * poly.p
+    top = poly.weights.get(((1, n),), 0)
+    if not limit or top * abs(m) <= poly.order - top:
+        return
+    exponent = (n - 1) * (_decimal_digits(abs(m)) - 1) - _decimal_digits(poly.order)
+    if exponent >= limit:
+        raise ValueError(
+            f"{name} has at least {exponent + 1} decimal digits, "
+            f"more than the {limit} Python converts to text; raise the limit with "
+            f"PYTHONINTMAXSTRDIGITS or -X int_max_str_digits"
+        )
+
+
 def cmd_count(args) -> int:
     report = polya.count_report(check_odd_prime(args.p))
     # n_total is the longest number a count report prints
@@ -164,8 +192,10 @@ def cmd_cycle_index(args) -> int:
     p = check_odd_prime(args.p)
     closed = polya.cycle_index_closed_form(p)
     if args.eval is not None:
+        name = f"the cycle index at p={p}, m={args.eval}"
+        _check_evaluable(closed, args.eval, name)
         value = closed.evaluate(args.eval)
-        _check_printable([(f"the cycle index at p={p}, m={args.eval}", value)])
+        _check_printable([(name, value)])
         if args.format == "json":
             print(json.dumps({"p": p, "eval_at": args.eval, "value": str(value)}))
         else:
@@ -268,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=oracle.DEFAULT_ORACLE_CAP,
         help="cap for exhaustive sweeps (default 5; p=7 sweeps 2^28 masks x 168 maps "
-        "in about 30 s; no cap goes past 7)",
+        "in about 11 s; no cap goes past 7)",
     )
     sp.add_argument(
         "--workers",

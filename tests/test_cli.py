@@ -425,6 +425,50 @@ def test_cycle_index_values_too_long_to_print_are_refused_before_output(capsys, 
     assert text in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cycle_index_values_too_long_to_print_are_refused_before_evaluation(
+    capsys, monkeypatch, fmt, sign
+):
+    """A value with millions of digits is refused from its weights alone."""
+    polya.cycle_index_closed_form(3571)  # build outside the timed call
+    m = sign * (10**300 + 7)
+    monkeypatch.setattr(
+        polya.CycleIndexPoly, "evaluate", lambda self, m: pytest.fail("evaluated")
+    )
+    argv = ["cycle-index", "--p", "3571", "--eval", str(m), "--format", fmt]
+    start = time.perf_counter()
+    status = _with_int_max_str_digits(4300, lambda: main(argv))
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert f"m={m} has at least 4284893 decimal digits" in captured.err
+    assert "4300" in captured.err
+
+
+def test_cycle_index_digit_bound_never_refuses_a_printable_value(capsys):
+    """Around the refusal threshold the bound refuses only values that the
+    exact check refuses too, and never claims more digits than they have."""
+    limit = 640  # the smallest limit Python accepts
+    for p in (3, 5):
+        closed = polya.cycle_index_closed_form(p)
+        refused = 0
+        for digits in range(limit // (4 * p) - 2, limit // (4 * p - 1) + 4):
+            for m in (10 ** (digits - 1), 10**digits - 1, -(10 ** (digits - 1)) - 7):
+                value = closed.evaluate(m)
+                true_digits = len(_with_int_max_str_digits(0, lambda: str(abs(value))))
+                argv = ["cycle-index", "--p", str(p), "--eval", str(m)]
+                status = _with_int_max_str_digits(limit, lambda: main(argv))
+                err = capsys.readouterr().err
+                assert status == (2 if true_digits > limit else 0)
+                if "at least" in err:
+                    refused += 1
+                    claimed = int(err.split("at least ")[1].split()[0])
+                    assert limit < claimed <= true_digits
+        assert refused  # the bound itself was exercised
+
+
 def _patch_every_binding(monkeypatch, original, replacement):
     """Replace original under every name a cayley8p module binds it to."""
     for name, module in list(sys.modules.items()):

@@ -88,6 +88,46 @@ def test_sweep_ignores_the_permutation_order():
     assert np.array_equal(sweep_minimal_masks(perms[::-1]), sweep_minimal_masks(perms))
 
 
+@pytest.mark.parametrize("arrange", ["reversed", "shuffled", "identity twice more"])
+def test_sweep_does_not_depend_on_row_order(arrange):
+    perms = np.asarray(induced_permutations(5))
+    if arrange == "reversed":
+        rows = perms[::-1]
+    elif arrange == "shuffled":
+        rows = perms[np.random.default_rng(20261018).permutation(len(perms))]
+    else:
+        rows = np.vstack([perms, perms[:1], perms[:1]])  # row 0 is the identity
+    masks = sweep_minimal_masks(rows)
+    assert len(masks) == 25152
+    assert np.array_equal(masks, sweep_minimal_masks(perms))
+
+
+def test_rejection_order_prunes_early():
+    """The first rows of the sweep's order leave far fewer survivors than the
+    first rows of the enumeration order (a survivor count, not a timing)."""
+    perms = np.asarray(induced_permutations(5), dtype=np.int64)
+    order = kernels._rejection_order(perms)
+    # every row but the identity (row 0), each once
+    assert sorted(order.tolist()) == list(range(1, len(perms)))
+    assert np.array_equal(kernels._rejection_order(perms), order)
+    # the kept set under a set of rows does not depend on their order
+    assert 2 * sweep_minimal_count(perms[order[:8]]) <= sweep_minimal_count(perms[:8])
+
+
+def test_rejection_order_is_computed_once_per_sweep(monkeypatch):
+    calls = []
+    original = kernels._rejection_order
+
+    def spy(perms):
+        calls.append(perms.shape)
+        return original(perms)
+
+    monkeypatch.setattr(kernels, "_rejection_order", spy)
+    perms = induced_permutations(3)
+    assert sweep_minimal_count(perms, workers=7) == 624
+    assert calls == [(24, 12)]
+
+
 def test_minimal_masks_agree_with_count():
     for p in (3,):
         perms = induced_permutations(p)
