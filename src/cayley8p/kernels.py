@@ -1,4 +1,4 @@
-"""Hot kernels for the exhaustive orbit sweep over connection-set bitmasks.
+"""Hot kernel for the exhaustive orbit sweep over connection-set bitmasks.
 
 A permutation of n class indices becomes a permutation of n-bit masks;
 the sweep visits every mask and keeps those that are minimal (as
@@ -6,19 +6,12 @@ integers) within their orbit, which counts orbits exactly once each.
 Mask images are computed from two half-tables per permutation
 (low/high bit halves), so one image costs two lookups and an OR.
 
-Two interchangeable backends do the scan:
-
-  * "numba": @njit compiled loops (fast path; optional dependency)
-  * "numpy": chunked vectorized compaction: after each permutation a
-    chunk keeps only the masks whose image is not smaller, so most masks
-    leave after a few of the permutations
-
-selected by the CAYLEY8P_BACKEND environment variable ("auto", "numba",
-"numpy"; auto prefers numba when importable).  Results are identical
-either way, and identical for any worker count: the mask space splits
-into contiguous ranges whose hits concatenate in range order.  One
-driver serves both entry points; the count is the number of
-representatives.
+One numpy kernel does the scan by chunked compaction: after each
+permutation a chunk keeps only the masks whose image is not smaller, so
+most masks leave after a few of the permutations.  Results are
+identical for any worker count: the mask space splits into contiguous
+ranges whose hits concatenate in range order.  One driver serves both
+entry points; the count is the number of representatives.
 
 A mask is minimal when no image is smaller.  That test does not depend
 on the order of the permutations, but its cost does: a mask leaves at
@@ -27,10 +20,10 @@ space the driver drops identity rows (an identity image is never
 smaller) and orders the rest greedily: each next row is the one that
 rejects the most still-surviving masks of a fixed sample of 2^10 masks
 (i * 2654435761 mod 2^n, spread over all bits), and rows that reject no
-survivor follow in their given order.  Both backends and every range
-read the bit tables in that one order.  Every non-identity permutation
-is still tried on every mask that survives the ones before it, so the
-kept masks are the same for any order and any sample.
+survivor follow in their given order.  Every range reads the bit tables
+in that one order.  Every non-identity permutation is still tried on
+every mask that survives the ones before it, so the kept masks are the
+same for any order and any sample.
 """
 
 import os
@@ -38,35 +31,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-ENV_FLAG = "CAYLEY8P_BACKEND"
 _CHUNK = 1 << 15
 _SAMPLE = 1 << 10
 
+# Read by the benchmark harness (benchmarks/e2e/sample.py); ROADMAP item 4's
+# benchmark PR removes them together with those reads.
+ENV_FLAG = "CAYLEY8P_BACKEND"
+HAS_NUMBA = False
+
 
 def active_backend() -> str:
-    """Resolve the backend name from the environment, validating the choice."""
-    choice = os.environ.get(ENV_FLAG, "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{ENV_FLAG} must be auto, numba or numpy, got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
+    return "numpy"
 
 
 def bit_tables(perms) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -105,46 +80,7 @@ def apply_perm_to_mask(mask: int, perm) -> int:
     return img
 
 
-@njit(cache=True, nogil=True)
-def _count_numba(start, stop, tlo, thi, lo_bits, lo_mask):  # pragma: no cover - jit
-    n_perms = tlo.shape[0]
-    count = 0
-    for m in range(start, stop):
-        minimal = True
-        for a in range(n_perms):
-            img = tlo[a, m & lo_mask] | thi[a, m >> lo_bits]
-            if img < m:
-                minimal = False
-                break
-        if minimal:
-            count += 1
-    return count
-
-
-@njit(cache=True, nogil=True)
-def _fill_numba(start, stop, tlo, thi, lo_bits, lo_mask, out):  # pragma: no cover
-    n_perms = tlo.shape[0]
-    written = 0
-    for m in range(start, stop):
-        minimal = True
-        for a in range(n_perms):
-            img = tlo[a, m & lo_mask] | thi[a, m >> lo_bits]
-            if img < m:
-                minimal = False
-                break
-        if minimal:
-            out[written] = m
-            written += 1
-    return written
-
-
-def _minimal_numba(start, stop, tlo, thi, lo_bits, lo_mask):  # pragma: no cover
-    out = np.empty(_count_numba(start, stop, tlo, thi, lo_bits, lo_mask), dtype=np.int64)
-    _fill_numba(start, stop, tlo, thi, lo_bits, lo_mask, out)
-    return out
-
-
-def _minimal_numpy(start, stop, tlo, thi, lo_bits, lo_mask):
+def _minimal(start, stop, tlo, thi, lo_bits, lo_mask):
     """Minimal masks of [start, stop): a chunk sheds a mask at its first smaller image."""
     hits = []
     for lo_edge in range(start, stop, _CHUNK):
@@ -199,12 +135,11 @@ def _sweep(perms, workers: int) -> np.ndarray:
         raise ValueError(f"workers must be at least 1, got {workers}")
     perms = np.asarray(perms, dtype=np.int64)
     tlo, thi, lo_bits, lo_mask = bit_tables(perms[_rejection_order(perms)])
-    kernel = _minimal_numba if active_backend() == "numba" else _minimal_numpy
     spans = _ranges(1 << perms.shape[1], workers)
     if len(spans) == 1:
-        return kernel(*spans[0], tlo, thi, lo_bits, lo_mask)
+        return _minimal(*spans[0], tlo, thi, lo_bits, lo_mask)
     with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(kernel, lo, hi, tlo, thi, lo_bits, lo_mask) for lo, hi in spans]
+        futures = [pool.submit(_minimal, lo, hi, tlo, thi, lo_bits, lo_mask) for lo, hi in spans]
         return np.concatenate([f.result() for f in futures])
 
 
@@ -217,9 +152,3 @@ def sweep_minimal_masks(perms, workers: int = 1) -> np.ndarray:
     """The orbit-minimal masks themselves, ascending (one per orbit)."""
     return _sweep(perms, workers)
 
-
-def warmup() -> None:
-    """Trigger JIT compilation on a toy input so timed runs measure the sweep only."""
-    toy = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    sweep_minimal_count(toy)
-    sweep_minimal_masks(toy)

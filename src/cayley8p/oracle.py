@@ -11,10 +11,9 @@ a direct orbit scan over subsets of the cyclic group of order 2p.
 Exhaustive sweeps walk all 2^{4p} connection sets, once per (p, workers):
 the representatives are kept and both the orbit count and the census
 read them.  They are capped at p <= 5 by default.  p = 7 (2^28 masks
-times 168 permutations) takes about 11 s and under 200 MiB on the numpy
-backend with 2 vCPUs; pass a larger cap explicitly to run it.  The
-bitset census holds the 8p elements in one 64-bit word, so no cap goes
-past p = 7.
+times 168 permutations) takes about 11 s and under 200 MiB with 2 vCPUs;
+pass a larger cap explicitly to run it.  The bitset census holds the 8p
+elements in one 64-bit word, so no cap goes past p = 7.
 """
 
 from collections import deque

@@ -80,6 +80,10 @@ class VerificationReport:
 def build_verification_report(
     p: int, level: str, cap: int = oracle.DEFAULT_ORACLE_CAP, workers: int = 1
 ) -> VerificationReport:
+    if level not in ("quick", "full"):
+        raise ValueError(f"level must be quick or full, got {level!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     check_odd_prime(p)
     check_array_memory(p)  # refusals first, before any work
     if level == "full":
@@ -129,12 +133,10 @@ def build_verification_report(
         f"{len(closed.weights)} closed-form terms vs {len(brute.weights)} brute-force terms",
         when_bad="flagged",
     )
-    add("cycle_index_at_one", closed.evaluate(1) == 1, f"value {closed.evaluate(1)}")
-    add(
-        "cycle_index_at_one_bruteforce",
-        brute.evaluate(1) == 1,
-        f"value {brute.evaluate(1)}",
-    )
+    closed_at_one = closed.evaluate(1)
+    add("cycle_index_at_one", closed_at_one == 1, f"value {closed_at_one}")
+    brute_at_one = brute.evaluate(1)
+    add("cycle_index_at_one_bruteforce", brute_at_one == 1, f"value {brute_at_one}")
 
     burnside = oracle.burnside_count(p)
     compare("n_total", "burnside", burnside)

@@ -48,7 +48,6 @@ from cayley8p.group import (
     iso_f,
     mul,
 )
-from cayley8p.kernels import warmup
 from cayley8p.modular import divisors, euler_phi, units_mod, unique_x
 from cayley8p.oracle import (
     build_cayley_graph,
@@ -160,7 +159,6 @@ def test_criterion_2_burnside_equals_closed_form():
 
 
 def test_criterion_3_exhaustive_orbit_partition():
-    warmup()
     t0 = time.perf_counter()
     count3 = orbit_partition_count(3)
     t3 = time.perf_counter() - t0

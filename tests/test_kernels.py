@@ -1,4 +1,4 @@
-"""Bit-table sweep kernels: correctness, backend parity, worker parity."""
+"""Bit-table sweep kernel: correctness, row-order independence, worker parity."""
 
 import random
 
@@ -8,14 +8,10 @@ import pytest
 from cayley8p import kernels
 from cayley8p.domain import induced_permutations
 from cayley8p.kernels import (
-    ENV_FLAG,
-    HAS_NUMBA,
-    active_backend,
     apply_perm_to_mask,
     bit_tables,
     sweep_minimal_count,
     sweep_minimal_masks,
-    warmup,
 )
 
 # C3 rotation on 3 bits: orbits are {000}, {111}, weight-1, weight-2
@@ -173,40 +169,3 @@ def test_threads_are_bounded_by_the_cpu_count(monkeypatch):
     sweep_minimal_masks(perms, workers=1)
     assert len(pools) == 1  # one range runs on the calling thread
 
-
-def test_numpy_backend_matches_default(monkeypatch):
-    perms = induced_permutations(3)
-    base_count = sweep_minimal_count(perms)
-    base_masks = sweep_minimal_masks(perms)
-    monkeypatch.setenv(ENV_FLAG, "numpy")
-    assert active_backend() == "numpy"
-    assert sweep_minimal_count(perms, workers=2) == base_count
-    assert np.array_equal(sweep_minimal_masks(perms, workers=2), base_masks)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_identical_up_to_p5(monkeypatch):
-    for p in (3, 5):
-        perms = induced_permutations(p)
-        results = {}
-        for backend in ("numba", "numpy"):
-            monkeypatch.setenv(ENV_FLAG, backend)
-            assert active_backend() == backend
-            results[backend] = (
-                sweep_minimal_count(perms),
-                sweep_minimal_masks(perms),
-            )
-        assert results["numba"][0] == results["numpy"][0]
-        assert np.array_equal(results["numba"][1], results["numpy"][1])
-
-
-def test_active_backend_validation(monkeypatch):
-    monkeypatch.setenv(ENV_FLAG, "cuda")
-    with pytest.raises(ValueError):
-        active_backend()
-    monkeypatch.delenv(ENV_FLAG)
-    assert active_backend() in ("numba", "numpy")
-
-
-def test_warmup_runs():
-    warmup()

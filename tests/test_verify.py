@@ -1,5 +1,9 @@
-"""The claimed-vs-genuine record, and the three outputs rendered from it."""
+"""The claimed-vs-genuine record, the three outputs rendered from it, and
+the input `build_verification_report` refuses."""
 
+import pytest
+
+from cayley8p import polya
 from cayley8p.cli import _report_json
 from cayley8p.polya import count_report
 from cayley8p.verify import Comparison, build_verification_report
@@ -46,3 +50,21 @@ def test_comparison_passes_agreeing_routes():
     counts = _report_json(count_report(3), [agreeing])
     assert counts["methods"]["orbit_partition"] == "432"
     assert counts["discrepancies"] == []
+
+
+def _no_work(p):
+    raise AssertionError("a refused input reached the checks")
+
+
+@pytest.mark.parametrize("level", ["ful", "FULL", ""])
+def test_unknown_level_is_refused_before_any_work(level, monkeypatch):
+    monkeypatch.setattr(polya, "count_report", _no_work)
+    with pytest.raises(ValueError, match="level must be quick or full"):
+        build_verification_report(3, level)
+
+
+@pytest.mark.parametrize(("level", "workers"), [("full", 0), ("full", -5), ("quick", 0)])
+def test_fewer_than_one_worker_is_refused_before_any_work(level, workers, monkeypatch):
+    monkeypatch.setattr(polya, "count_report", _no_work)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        build_verification_report(3, level, workers=workers)
