@@ -297,15 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-oracle-p",
         type=int,
         default=oracle.DEFAULT_ORACLE_CAP,
-        help="cap for exhaustive sweeps (default 5; p=7 sweeps 2^28 masks x 168 maps "
-        "in about 11 s; no cap goes past 7)",
+        help="cap for exhaustive sweeps (default 5; p=7 takes about 3 s, most of it in "
+        "the connectivity census; no cap goes past 7)",
     )
     sp.add_argument(
         "--workers",
         type=_workers,
         default=1,
-        help="split the sweep into N >= 1 ranges, run on at most the CPU count of threads; "
-        "never changes results",
+        help="split each sweep's masks into N >= 1 ranges, run on at most the CPU count "
+        "of threads; never changes results",
     )
     add_format(sp, choices=("text", "json"))
     sp.set_defaults(fn=cmd_verify)

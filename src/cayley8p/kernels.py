@@ -13,17 +13,10 @@ identical for any worker count: the mask space splits into contiguous
 ranges whose hits concatenate in range order.  One driver serves both
 entry points; the count is the number of representatives.
 
-A mask is minimal when no image is smaller.  That test does not depend
-on the order of the permutations, but its cost does: a mask leaves at
-the first permutation that maps it lower.  So before it splits the mask
-space the driver drops identity rows (an identity image is never
-smaller) and orders the rest greedily: each next row is the one that
-rejects the most still-surviving masks of a fixed sample of 2^10 masks
-(i * 2654435761 mod 2^n, spread over all bits), and rows that reject no
-survivor follow in their given order.  Every range reads the bit tables
-in that one order.  Every non-identity permutation is still tried on
-every mask that survives the ones before it, so the kept masks are the
-same for any order and any sample.
+A mask is minimal when no image is smaller, so the driver drops the rows
+that cannot reject anything before it builds the tables: identity rows
+(an identity image is never smaller) and repeats of an earlier row.
+The kept rows stay in their given order.
 """
 
 import os
@@ -32,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 _CHUNK = 1 << 15
-_SAMPLE = 1 << 10
 
 # Read by the benchmark harness (benchmarks/e2e/sample.py); ROADMAP item 4's
 # benchmark PR removes them together with those reads.
@@ -98,43 +90,27 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
 
-def _rejection_order(perms: np.ndarray) -> np.ndarray:
-    """Indices of the non-identity rows of perms, most-rejecting first.
-
-    Greedy over a fixed sample of masks: each next row rejects the most
-    sample masks that no earlier row rejected; ties and the rows that
-    reject none left keep their given order.
-    """
-    n_bits = perms.shape[1]
-    rows = np.flatnonzero((perms != np.arange(n_bits)).any(axis=1))
-    sample = np.arange(_SAMPLE, dtype=np.int64) * 2654435761 & (1 << n_bits) - 1
-    images = np.zeros((len(rows), _SAMPLE), dtype=np.int64)
-    for b in range(n_bits):
-        images |= (sample >> b & 1) << perms[rows, b, None]
-    rejects = images < sample
-    alive = np.ones(_SAMPLE, dtype=bool)
-    order = []
-    while len(order) < len(rows):
-        gains = (rejects & alive).sum(axis=1)
-        best = int(gains.argmax())
-        if not gains[best]:
-            break
-        order.append(best)
-        alive &= ~rejects[best]
-    return np.concatenate([rows[order], np.delete(rows, order)])
+def _distinct_moves(perms: np.ndarray) -> np.ndarray:
+    """The non-identity rows of perms, each once, in order of first occurrence."""
+    identity = np.arange(perms.shape[1], dtype=perms.dtype).tobytes()
+    first = {}
+    for i, row in enumerate(perms):
+        first.setdefault(row.tobytes(), i)
+    first.pop(identity, None)
+    return perms[list(first.values())]
 
 
 def _sweep(perms, workers: int) -> np.ndarray:
     """The one sweep driver: orbit-minimal masks, ascending.
 
-    The tables are built once, in rejection order; the mask space splits
-    into `workers` contiguous ranges whose hits concatenate in range
-    order; at most os.cpu_count() threads run them.
+    The tables are built once, for the distinct non-identity rows; the
+    mask space splits into `workers` contiguous ranges whose hits
+    concatenate in range order; at most os.cpu_count() threads run them.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     perms = np.asarray(perms, dtype=np.int64)
-    tlo, thi, lo_bits, lo_mask = bit_tables(perms[_rejection_order(perms)])
+    tlo, thi, lo_bits, lo_mask = bit_tables(_distinct_moves(perms))
     spans = _ranges(1 << perms.shape[1], workers)
     if len(spans) == 1:
         return _minimal(*spans[0], tlo, thi, lo_bits, lo_mask)

@@ -364,6 +364,22 @@ def test_closed_stdout_ends_quietly_with_status_141(tmp_path):
     assert (tmp_path / "stderr").read_bytes() == b""
 
 
+def test_full_verify_never_imports_numpy_ma():
+    """numpy.ma costs tens of milliseconds to import; no command needs it
+    (np.unique with an axis would pull it in unnoticed)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(domain.__file__).resolve().parents[1]))
+    script = (
+        "import sys\n"
+        "from cayley8p.cli import main\n"
+        "status = main(['verify', '--p', '5', '--level', 'full'])\n"
+        "print('numpy.ma' in sys.modules, status, file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, check=True
+    )
+    assert proc.stderr == b"False 0\n"
+
+
 def test_report_object_shape():
     report = build_verification_report(3, "quick")
     assert not report.failed

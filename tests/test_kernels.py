@@ -98,30 +98,26 @@ def test_sweep_does_not_depend_on_row_order(arrange):
     assert np.array_equal(masks, sweep_minimal_masks(perms))
 
 
-def test_rejection_order_prunes_early():
-    """The first rows of the sweep's order leave far fewer survivors than the
-    first rows of the enumeration order (a survivor count, not a timing)."""
-    perms = np.asarray(induced_permutations(5), dtype=np.int64)
-    order = kernels._rejection_order(perms)
-    # every row but the identity (row 0), each once
-    assert sorted(order.tolist()) == list(range(1, len(perms)))
-    assert np.array_equal(kernels._rejection_order(perms), order)
-    # the kept set under a set of rows does not depend on their order
-    assert 2 * sweep_minimal_count(perms[order[:8]]) <= sweep_minimal_count(perms[:8])
-
-
-def test_rejection_order_is_computed_once_per_sweep(monkeypatch):
-    calls = []
-    original = kernels._rejection_order
+def test_tables_are_built_only_for_distinct_moving_rows(monkeypatch):
+    """Identity rows and repeats cannot reject a mask, so they get no table."""
+    tabled = []
+    original = kernels.bit_tables
 
     def spy(perms):
-        calls.append(perms.shape)
+        tabled.append(np.asarray(perms).tolist())
         return original(perms)
 
-    monkeypatch.setattr(kernels, "_rejection_order", spy)
-    perms = induced_permutations(3)
-    assert sweep_minimal_count(perms, workers=7) == 624
-    assert calls == [(24, 12)]
+    monkeypatch.setattr(kernels, "bit_tables", spy)
+    perms = np.asarray(induced_permutations(3))
+    rows = np.vstack([perms[5:], perms[::-1], perms[:5]])
+    identity = list(range(12))
+    want = []
+    for row in rows.tolist():
+        if row != identity and row not in want:
+            want.append(row)
+    assert sweep_minimal_masks(rows, workers=7).tolist() == sweep_minimal_masks(perms).tolist()
+    assert tabled[0] == want
+    assert len(tabled) == 2  # one table build per sweep, whatever the worker count
 
 
 def test_minimal_masks_agree_with_count():

@@ -8,6 +8,7 @@ model in independent_model.py, so regressions in either direction
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ import independent_model as im
 from cayley8p import oracle
 from cayley8p.domain import build_domain, induced_permutations
 from cayley8p.group import GroupElement, element_index
-from cayley8p.kernels import apply_perm_to_mask
+from cayley8p.kernels import apply_perm_to_mask, sweep_minimal_masks
 from cayley8p.oracle import (
     build_cayley_graph,
     burnside_count,
@@ -102,10 +103,76 @@ def test_representatives_are_swept_once_per_p_and_workers(monkeypatch):
     monkeypatch.setattr(oracle, "sweep_minimal_masks", sweep)
     total = orbit_partition_count(3)
     assert connected_orbit_count(3) + sum(disconnected_census(3).values()) == total == 624
-    assert calls == [1]
+    assert calls and set(calls) == {1}
+    first = len(calls)
     orbit_representatives(3, workers=2)
+    assert len(calls) > first and set(calls[first:]) == {2}
+    swept = len(calls)
     orbit_representatives(3, workers=2)
-    assert calls == [1, 2]
+    assert len(calls) == swept
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_representatives_equal_the_flat_sweep(p, monkeypatch):
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    flat = sweep_minimal_masks(induced_permutations(p))
+    for workers in (1, 2, 4):
+        reps = orbit_representatives(p, workers=workers)
+        assert reps.dtype == flat.dtype
+        assert reps.tobytes() == flat.tobytes()
+
+
+def test_p7_sweep_equals_burnside(monkeypatch):
+    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
+    assert orbit_partition_count(7, cap=7) == burnside_count(7) == 2111232
+
+
+def test_a_map_across_the_blocks_is_refused_before_any_sweep(monkeypatch):
+    perms = np.array(induced_permutations(5))
+    perms[1, [0, 10]] = perms[1, [10, 0]]  # class 0 now goes into B, class 10 into A
+    swept = []
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    monkeypatch.setattr(oracle, "induced_permutations", lambda p: perms)
+    monkeypatch.setattr(oracle, "sweep_minimal_masks", lambda *a, **k: swept.append(a))
+    with pytest.raises(ArithmeticError, match="across the A and B blocks"):
+        orbit_representatives(5)
+    assert swept == []
+
+
+def test_each_distinct_stabilizer_is_swept_once(monkeypatch):
+    """One B-sweep, then one A-sweep per distinct set of stabilizer A-rows,
+    counted here from the B-parts of the representatives by scalar images."""
+    perms = induced_permutations(5)
+    b_parts = sorted({int(m) >> 10 for m in orbit_representatives(5)})
+    rows = perms.tolist()
+    row_sets = {
+        frozenset(
+            tuple(row[:10]) for row in rows if apply_perm_to_mask(b, [t - 10 for t in row[10:]]) == b
+        )
+        for b in b_parts
+    }
+    swept = []
+    original = oracle.sweep_minimal_masks
+
+    def sweep(rows, workers):
+        swept.append({tuple(row) for row in np.asarray(rows).tolist()})
+        return original(rows, workers=workers)
+
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    monkeypatch.setattr(oracle, "sweep_minimal_masks", sweep)
+    assert len(orbit_representatives(5)) == 25152
+    assert len(b_parts) == 45 and len(row_sets) == 2
+    assert sorted(map(sorted, swept[1:])) == sorted(map(sorted, row_sets))
+
+
+def test_stabilizers_of_equal_size_are_swept_apart():
+    """x swaps bits 0, 1 of each block and y bits 2, 3: B-part 0b0100 is fixed
+    by x alone and 0b0001 by y alone, two stabilizers of the same size."""
+    e, x, y = range(4), [1, 0, 2, 3], [0, 1, 3, 2]
+    group = [(e, e), (x, x), (y, y), ([x[i] for i in y], [x[i] for i in y])]
+    rows = np.array([list(a) + [4 + t for t in b] for a, b in group])
+    reps = oracle._two_level_sweep(rows, workers=1)
+    assert reps.tolist() == sweep_minimal_masks(rows).tolist()
 
 
 def test_cached_representatives_are_read_only():
