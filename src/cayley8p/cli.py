@@ -297,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-oracle-p",
         type=int,
         default=oracle.DEFAULT_ORACLE_CAP,
-        help="cap for exhaustive sweeps (default 5; p=7 takes about 3 s, most of it in "
-        "the connectivity census; no cap goes past 7)",
+        help="cap for exhaustive sweeps (default 5; p=7 takes under half a second; "
+        "no cap goes past 7)",
     )
     sp.add_argument(
         "--workers",

@@ -4,9 +4,10 @@ Nothing here relies on closed-form cycle types or the assembled cycle
 index: orbit counts come from Burnside averaging over brute-force
 decompositions or from exhaustive minimal-mask sweeps; connectivity
 comes from breadth-first search over the multiplication table (a scalar
-search per graph in `is_connected`, and one bitset search over all orbit
-representatives at once in the census); the circulant count comes from
-a direct orbit scan over subsets of the cyclic group of order 2p.
+search per graph in `is_connected`; in the census, the same search finds
+the maximal subgroups by brute force, and a mask is connected iff it lies
+inside none of them); the circulant count comes from a direct orbit scan
+over subsets of the cyclic group of order 2p.
 
 Exhaustive sweeps run once per (p, workers), in two levels.  Every
 automorphism maps the odd-power classes B (2p..4p-1, the high bits of a
@@ -15,14 +16,12 @@ mask) onto themselves, because <a, b^2> is the only subgroup of index
 least A-part under the maps that fix b: one sweep of the 2^{2p} B-masks,
 then one sweep of the 2^{2p} A-masks per distinct stabilizer.  The
 representatives are kept and both the orbit count and the census read
-them.  They are capped at p <= 5 by default.  p = 7 (2111232
-representatives) sweeps in well under a second, and the census takes
-most of its time; pass a larger cap explicitly to run it.  The bitset
-census holds the 8p elements in one 64-bit word, so no cap goes past
-p = 7.
+them.  They are capped at p <= 5 by default; pass a larger cap explicitly
+to run p = 7 (2111232 representatives).  No cap goes past p = 7: the
+representatives are held as one int64 mask per orbit, and p = 11 has at
+least 2^44/440, about 4.0e10, orbits.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +32,18 @@ from .kernels import sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
 
 DEFAULT_ORACLE_CAP = 5
-_BITSET_MAX_P = 7  # the census keeps the 8p elements in one uint64
+_HELD_REPS_MAX_P = 7  # one int64 mask per orbit; p = 11 has >= 2^44/440 orbits
 
 
 def check_cap(p: int, cap: int) -> None:
     check_odd_prime(p)
-    if p > _BITSET_MAX_P:
+    if p > _HELD_REPS_MAX_P:
+        aut_order = 4 * p * (p - 1)
+        orbits = (1 << 4 * p) / aut_order
         raise ValueError(
-            f"exhaustive oracles need p <= {_BITSET_MAX_P}: the census keeps the 8p "
-            f"elements in one 64-bit word, and p={p} has {8 * p}"
+            f"exhaustive oracles need p <= {_HELD_REPS_MAX_P}: they hold one int64 mask "
+            f"per orbit, and p={p} has at least 2^{4 * p}/{aut_order}, about {orbits:.1e}, "
+            f"orbits ({orbits * 8 / 2**30:,.0f} GiB)"
         )
     if p > cap:
         raise ValueError(
@@ -169,77 +171,60 @@ def build_cayley_graph(p: int, mask: int) -> CayleyGraph:
 def is_connected(p: int, mask: int) -> bool:
     """Breadth-first traversal from the identity vertex reaches everything."""
     _check_mask(p, mask)
-    d = build_domain(p)
-    table = mul_table(p)
-    selected = mask_elements(d, mask)
-    return _reaches_all(table, selected, 8 * p)
+    selected = mask_elements(build_domain(p), mask)
+    return len(_reached(mul_table(p), selected)) == 8 * p
 
 
-def _reaches_all(table, selected, n_vertices: int) -> bool:
-    seen = bytearray(n_vertices)
+def _reached(table, selected) -> list[int]:
+    """Elements reached from the identity (element 0 first) by left
+    multiplication with the selected ones: the subgroup they generate."""
+    seen = bytearray(len(table))
     seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        v = queue.popleft()
+    reached = [0]
+    for v in reached:
         for s in selected:
             w = table[s][v]
             if not seen[w]:
                 seen[w] = 1
-                reached += 1
-                queue.append(w)
-    return reached == n_vertices
+                reached.append(w)
+    return reached
 
 
-def _step_tables(p: int) -> np.ndarray:
-    """Search-step tables over element bitsets (bit v = element v).
+def _maximal_subgroups(p: int) -> list[int]:
+    """The maximal subgroups of T as class masks, ascending, by brute force.
 
-    u[j, k, y << 8 | x] is the bitset of s*v over s in the classes 4j + i
-    for the bits i of y, and v = 8k + i for the bits i of x.  So the
-    elements one step from a reached set R under a connection set S are
-    the union over j, k of u[j, k] at (nibble j of S, byte k of R).
+    A subgroup is closed under inverses, so without the identity it is a
+    union of classes.  Every subgroup is a join of cyclic ones, so joining
+    the cyclic subgroups <class c> onto what has been found until nothing
+    new appears finds them all.  The maximal ones are the proper subgroups
+    inside no other proper subgroup.
     """
     d = build_domain(p)
-    table = np.asarray(mul_table(p), dtype=np.uint64)
-    step = np.zeros((4 * p, 8 * p), dtype=np.uint64)  # step[c, v]: {s*v : s in class c}
-    for c in range(4 * p):
-        for s in mask_elements(d, 1 << c):
-            step[c] |= np.uint64(1) << table[s]
-    step = step.reshape(p, 4, p, 8)  # class nibble, class bit, element byte, element bit
-    by_classes = np.zeros((p, p, 16, 8), dtype=np.uint64)
-    for i in range(4):
-        by_classes[:, :, 1 << i : 2 << i] = by_classes[:, :, : 1 << i] | step[:, i, :, None]
-    u = np.zeros((p, p, 16, 256), dtype=np.uint64)
-    for i in range(8):
-        u[..., 1 << i : 2 << i] = u[..., : 1 << i] | by_classes[..., i, None]
-    return u.reshape(p, p, 16 * 256)
+    table = mul_table(p)
+
+    def generated(mask: int) -> int:
+        out = 0
+        for v in _reached(table, mask_elements(d, mask))[1:]:
+            out |= 1 << d.class_of_element[v]
+        return out
+
+    cyclic = {generated(1 << c) for c in range(4 * p)}
+    found = set(cyclic)
+    new = cyclic
+    while new:
+        new = {generated(h | c) for h in new for c in cyclic if c & ~h} - found
+        found |= new
+    proper = found - {(1 << 4 * p) - 1}
+    return sorted(h for h in proper if not any(h != k and (h & ~k) == 0 for k in proper))
 
 
 def _connected_flags(p: int, masks) -> np.ndarray:
-    """Per mask, whether breadth-first search from the identity reaches all 8p elements.
-
-    All masks advance together, one bitset step at a time; a mask leaves
-    when its reached set is everything (connected) or stops growing (it
-    is then the subgroup the set generates: disconnected).
-    """
-    u = _step_tables(p)
-    everything = np.uint64((1 << 8 * p) - 1)
+    """Per mask, whether its classes generate T, so that the Cayley graph is
+    connected: exactly when the mask lies inside no maximal subgroup."""
     masks = np.asarray(masks, dtype=np.int64)
-    flags = np.zeros(len(masks), dtype=bool)
-    active = np.arange(len(masks))
-    reached = np.ones(len(masks), dtype=np.uint64)  # the identity, element 0
-    while active.size:
-        selected = masks[active]
-        grown = reached.copy()
-        for j in range(p):
-            nibble = ((selected >> 4 * j) & 15).astype(np.uint64) << np.uint64(8)
-            for k in range(p):
-                grown |= u[j, k][nibble | ((reached >> np.uint64(8 * k)) & np.uint64(255))]
-        done = grown == everything
-        flags[active[done]] = True
-        growing = ~done & (grown != reached)
-        active = active[growing]
-        reached = grown[growing]
+    flags = np.ones(len(masks), dtype=bool)
+    for h in _maximal_subgroups(p):
+        flags &= (masks & ~h) != 0
     return flags
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cayley8p import domain, polya
+from cayley8p import domain, oracle, polya
 from cayley8p.autos import aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
@@ -196,6 +196,16 @@ def test_verify_rejects_fewer_than_one_worker(capsys, workers):
         main(["verify", "--p", "3", "--level", "full", "--workers", workers])
     assert exc.value.code == 2
     assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_p7_prints_the_readme_block(capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "$ cayley8p verify --p 7 --level full --max-oracle-p 7\n"
+    block = readme[readme.index(command) + len(command) :].split("```", 1)[0]
+    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    assert main(["verify", "--p", "7", "--level", "full", "--max-oracle-p", "7"]) == 0
+    assert capsys.readouterr().out == block
 
 
 def test_verify_refuses_p_beyond_the_census_limit(capsys):

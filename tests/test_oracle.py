@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import independent_model as im
 from cayley8p import oracle
-from cayley8p.domain import build_domain, induced_permutations
+from cayley8p.domain import KIND_A2, KIND_AP, KIND_B, build_domain, induced_permutations
 from cayley8p.group import GroupElement, element_index
 from cayley8p.kernels import apply_perm_to_mask, sweep_minimal_masks
 from cayley8p.oracle import (
@@ -183,8 +183,9 @@ def test_cached_representatives_are_read_only():
 
 
 def test_census_flags_match_the_scalar_search():
-    reps = [int(m) for m in orbit_representatives(3)]
-    assert oracle._connected_flags(3, reps).tolist() == [is_connected(3, m) for m in reps]
+    assert oracle._connected_flags(3, range(4096)).tolist() == [
+        is_connected(3, m) for m in range(4096)
+    ]
     sample = random.Random(20261018).sample([int(m) for m in orbit_representatives(5)], 500)
     assert oracle._connected_flags(5, sample).tolist() == [is_connected(5, m) for m in sample]
 
@@ -196,11 +197,40 @@ def test_census_counts_match_independent_model(monkeypatch):
     assert counts == im.census(3)
 
 
-def test_census_frozen_values():
+def test_census_frozen_values(monkeypatch):
     assert connected_orbit_count(3) == 568
     assert disconnected_census(3) == {"a_only_orbits": 48, "b_touching_orbits": 8}
     assert connected_orbit_count(5) == 24808
     assert disconnected_census(5) == {"a_only_orbits": 336, "b_touching_orbits": 8}
+    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    assert connected_orbit_count(7, cap=7) == 2108120
+    assert disconnected_census(7, cap=7) == {"a_only_orbits": 3104, "b_touching_orbits": 8}
+
+
+def _class_mask(p, keep):
+    return sum(1 << c for c, cls in enumerate(build_domain(p).classes) if keep(cls))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_maximal_subgroups_are_the_index_2_subgroup_and_the_sylow_2_subgroups(p):
+    """<a, b^2> (every class but the odd powers of b), and the p cyclic
+    Sylow 2-subgroups <a^j b> = {e, a^j b, b^2, a^{-j} b^3, a^p, a^{p+j} b,
+    a^p b^2, a^{p-j} b^3}: classes A2 label 0, Ap, B_j and B_{j+p}."""
+    index_2 = _class_mask(p, lambda cls: cls.kind != KIND_B)
+    sylow_classes = [{(KIND_A2, 0), (KIND_AP, p), (KIND_B, j), (KIND_B, j + p)} for j in range(p)]
+    sylows = [_class_mask(p, lambda cls: (cls.kind, cls.label) in kept) for kept in sylow_classes]
+    assert index_2 == (1 << 2 * p) - 1
+    assert oracle._maximal_subgroups(p) == sorted([index_2, *sylows])
+
+
+def test_census_with_a_maximal_subgroup_dropped_disagrees_with_the_scalar_search(monkeypatch):
+    maximal = oracle._maximal_subgroups(3)
+    scalar = [is_connected(3, m) for m in range(4096)]
+    for dropped in maximal:
+        kept = [h for h in maximal if h != dropped]
+        monkeypatch.setattr(oracle, "_maximal_subgroups", lambda p: kept)
+        assert oracle._connected_flags(3, range(4096)).tolist() != scalar
 
 
 def test_census_partitions_the_orbits():
