@@ -11,10 +11,15 @@ Every non-identity element g is grouped with its inverse into a class
 
 Automorphisms permute these classes.  induced_permutations(p) holds the
 induced permutations of all 4p(p-1) maps as the rows of one read-only
-int16 array, and cycle_types(p) counts the cycles of every row once, in
-numpy, by pointer jumping; Burnside, the brute-force cycle index and the
-verify check all read that one result.  cycle_type_of decomposes a single
-permutation in Python and stays as the scalar reference.
+int16 array.  Every map keeps the A block (indices 0 .. 2p-1, the even
+powers of b) and the B block (2p .. 4p-1, the odd powers), so a row's
+cycle type is the sum of its two halves' types.  cycle_types(p) counts
+the cycles of each distinct half-row once, in numpy, by pointer jumping
+(cycle_counts), and adds the two halves map by map: at p = 31 the 3720
+maps have 30 distinct A-halves and 1860 distinct B-halves.  Burnside, the
+brute-force cycle index and the verify check all read that one result.
+cycle_type_of decomposes a single permutation in Python and stays as the
+scalar reference.
 
 The closed-form side has the same layout, stored once per case:
 closed_form_cycle_types(p) runs the scalar closed_form_cycle_type on each
@@ -125,41 +130,51 @@ def induced_permutation(f: Automorphism, d: Domain) -> tuple[int, ...]:
 
 def _induced_blocks(d: Domain, blocks):
     """Yield, for each (family, alpha) of blocks, the induced permutations of
-    family(alpha, beta) for beta = 0 .. 2p-1 as the rows of one array.
+    family(alpha, beta) for beta = 0 .. 2p-1 as two halves: the A-half, one
+    row of the A block's images shared by every beta, and the B-half, one
+    row per beta of the B block's images.
 
-    The rules of apply are evaluated on both members of every class, for a
-    whole block in one numpy pass, and the images are looked up in the
-    class table.  A straddled class or a repeated image raises exactly as
-    in induced_permutation.
+    The rules of apply are evaluated on both members of every class and the
+    images looked up in the class table.  The A classes hold even powers of
+    b, whose images do not read beta, so they are evaluated once per block;
+    the B classes once per map, for a whole block in one numpy pass.  The
+    rules keep the parity of the power of b, so a row is a bijection exactly
+    when its A-half permutes the A block and its B-half the B block.  A
+    straddled class or a repeated image raises exactly as in
+    induced_permutation, for the first beta that shows it.
     """
     p, n = d.p, 2 * d.p
     members = [sorted((g.k, g.l) for g in c.members) for c in d.classes]
     # (4p, 2) arrays of k and l; the singleton {a^p} is listed twice
     k, l = np.array([(m * 2)[:2] for m in members]).transpose(2, 0, 1)
+    k_a, l_a, k_b, l_b = k[:n], l[:n], k[n:], l[n:]
     class_of = np.array(d.class_of_element)
     beta = np.arange(n)[:, None, None]
-    odd = l % 2 == 1
     for family, alpha in blocks:
         if family == SIGMA:
-            shift = np.where(odd, beta, 0)
-            l_image = l
+            a_images = class_of[l_a * n + k_a * alpha % n]
+            l_image = l_b
         else:
-            shift = np.where(odd, beta, np.where(l == 2, p, 0))
-            l_image = np.where(odd, 4 - l, l)
-        images = class_of[l_image * n + (k * alpha + shift) % n]
-        perms = images[..., 0]
-        split = np.argwhere(images[..., 1] != perms)
-        if len(split):
-            b, c = split[0]
+            a_images = class_of[l_a * n + (k_a * alpha + np.where(l_a == 2, p, 0)) % n]
+            l_image = 4 - l_b
+        b_images = class_of[l_image * n + (k_b * alpha + beta) % n]
+        a_half, b_half = a_images[:, 0], b_images[..., 0]
+        a_split = a_images[:, 1] != a_half
+        b_split = b_images[..., 1] != b_half
+        if a_split.any() or b_split.any():
+            # an A class splits under every beta, and the A classes come first
+            b, c = (0, a_split.argmax()) if a_split.any() else np.argwhere(b_split)[0] + (0, n)
             raise ArithmeticError(
                 f"{family}({alpha},{b}) splits class {d.classes[c].rep} across two classes"
             )
-        repeated = np.flatnonzero((np.sort(perms, axis=1) != np.arange(4 * p)).any(axis=1))
-        if len(repeated):
+        a_repeats = (np.sort(a_half) != np.arange(n)).any()
+        b_repeats = (np.sort(b_half, axis=1) != np.arange(n, 2 * n)).any(axis=1)
+        if a_repeats or b_repeats.any():
             raise ArithmeticError(
-                f"{family}({alpha},{repeated[0]}) does not act bijectively on the classes"
+                f"{family}({alpha},{0 if a_repeats else b_repeats.argmax()}) "
+                "does not act bijectively on the classes"
             )
-        yield perms
+        yield a_half, b_half
 
 
 def _check_int16_classes(p: int) -> None:
@@ -170,8 +185,11 @@ def _check_int16_classes(p: int) -> None:
 
 
 def check_array_memory(p: int) -> None:
-    """Refuse a p whose int16 permutation array and cycle_counts matrix, both
-    4p(p-1) by about 4p, would take more than half of physical memory."""
+    """Refuse a p whose int16 permutation array, 4p(p-1) by 4p, would take
+    more than a quarter of physical memory.  What cycle_types builds from it
+    (sorted half-row keys, distinct half-rows and their counts) peaks below
+    the array's own size at large p (0.84 of it at p = 101), so the two
+    together stay under half."""
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory // 2:
@@ -188,7 +206,7 @@ def induced_permutations(p: int) -> np.ndarray:
     A read-only int16 array of shape (4p(p-1), 4p) whose row i equals
     induced_permutation(f, build_domain(p)) for the i-th f of
     enumerate_aut(p).  It is filled one block of the 2p maps that share
-    (family, alpha) at a time.
+    (family, alpha) at a time, its A-half broadcast over the block.
     """
     check_odd_prime(p)
     _check_int16_classes(p)
@@ -196,8 +214,9 @@ def induced_permutations(p: int) -> np.ndarray:
     n = 2 * p
     blocks = aut_blocks(p)
     perms = np.empty((len(blocks) * n, 4 * p), dtype=np.int16)
-    for i, block in enumerate(_induced_blocks(build_domain(p), blocks)):
-        perms[i * n : (i + 1) * n] = block
+    for i, (a_half, b_half) in enumerate(_induced_blocks(build_domain(p), blocks)):
+        perms[i * n : (i + 1) * n, :n] = a_half
+        perms[i * n : (i + 1) * n, n:] = b_half
     perms.flags.writeable = False
     return perms
 
@@ -242,10 +261,63 @@ def cycle_counts(perms) -> tuple[tuple[int, ...], np.ndarray]:
     return tuple(occurring.tolist()), compact
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in order of first occurrence, and each
+    row's index among them: distinct[ids] equals rows.
+
+    A stable argsort of a 1-D view of whole rows as opaque bytes groups equal
+    rows.  np.unique would do the same with a flattened copy of the keys on
+    top of its sorted one, and with axis=0 it imports numpy.ma.
+    """
+    rows = np.asarray(rows)
+    n_rows, width = rows.shape
+    if rows.strides[1] != rows.itemsize:  # the view needs each row's items adjacent
+        rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0]
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    starts = np.ones(n_rows, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = order[starts]  # a stable sort starts each run of equal rows at its first occurrence
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(n_rows, dtype=np.intp)
+    ids[order] = rank[np.cumsum(starts) - 1]
+    return rows[np.sort(first)], ids
+
+
+def align_lengths(lengths, own, counts: np.ndarray) -> np.ndarray:
+    """Count rows over the cycle lengths own, spread onto the columns of
+    lengths, a sorted superset of own; a length a row lacks counts 0."""
+    aligned = np.zeros((len(counts), len(lengths)), dtype=np.int16)
+    aligned[:, np.searchsorted(lengths, own)] = counts
+    return aligned
+
+
 @lru_cache(maxsize=None)
 def cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """cycle_counts of induced_permutations(p): one row per map, enumeration order."""
-    return cycle_counts(induced_permutations(p))
+    """cycle_counts of induced_permutations(p): one row per map, enumeration order.
+
+    Every map keeps the A block and the B block, so its cycle type is the
+    sum of the cycle types of its two halves.  cycle_counts runs on the
+    distinct rows of each half only; the counts go back to every map by its
+    row id and the halves add up on the union of their lengths.  A row that
+    sends a class across the blocks is refused before any counting.
+    """
+    perms = induced_permutations(p)
+    half = 2 * p
+    if (perms[:, :half] >= half).any() or (perms[:, half:] < half).any():
+        raise ArithmeticError("an automorphism sends a class across the A and B blocks")
+    halves = []
+    for offset in (0, half):
+        distinct, ids = distinct_rows(perms[:, offset : offset + half])
+        own, counts = cycle_counts(distinct - offset)
+        halves.append((own, counts[ids]))
+    lengths = tuple(sorted({k for own, _ in halves for k in own}))
+    (a_own, a_counts), (b_own, b_counts) = halves
+    counts = align_lengths(lengths, a_own, a_counts) + align_lengths(lengths, b_own, b_counts)
+    counts.flags.writeable = False
+    return lengths, counts
 
 
 def cycle_type_of(perm: tuple[int, ...]) -> dict[int, int]:

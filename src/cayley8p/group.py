@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 from .modular import check_odd_prime
 
 
@@ -111,11 +113,21 @@ def element_index(x: GroupElement) -> int:
 
 @lru_cache(maxsize=None)
 def mul_table(p: int) -> tuple[tuple[int, ...], ...]:
-    """8p x 8p table of element indices: table[i][j] = index of elem_i * elem_j."""
-    elems = all_elements(p)
-    return tuple(
-        tuple(element_index(mul(x, y)) for y in elems) for x in elems
-    )
+    """8p x 8p table of element indices: table[i][j] = index of elem_i * elem_j.
+
+    Built in one numpy pass of mul's normal-form rule over every pair, with
+    index l*2p + k, and returned as tuples of Python ints for fast scalar
+    lookups.
+    """
+    check_odd_prime(p)
+    n = 2 * p
+    l, k = np.divmod(np.arange(4 * n), n)
+    sign = 1 - 2 * (l % 2)
+    k_product = k[:, None] + sign[:, None] * k
+    l_product = l[:, None] + l
+    wrap = l_product >= 4  # b^4 = a^p
+    table = (l_product - 4 * wrap) * n + (k_product + p * wrap) % n
+    return tuple(map(tuple, table.tolist()))
 
 
 # ---------- the order-8p presentation on <x, b> and the isomorphism ----------

@@ -24,6 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .domain import distinct_rows
+
 _CHUNK = 1 << 15
 
 # Read by the benchmark harness (benchmarks/e2e/sample.py); ROADMAP item 4's
@@ -92,12 +94,8 @@ def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
 
 def _distinct_moves(perms: np.ndarray) -> np.ndarray:
     """The non-identity rows of perms, each once, in order of first occurrence."""
-    identity = np.arange(perms.shape[1], dtype=perms.dtype).tobytes()
-    first = {}
-    for i, row in enumerate(perms):
-        first.setdefault(row.tobytes(), i)
-    first.pop(identity, None)
-    return perms[list(first.values())]
+    distinct, _ = distinct_rows(perms)
+    return distinct[(distinct != np.arange(perms.shape[1])).any(axis=1)]
 
 
 def _sweep(perms, workers: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, build_domain, cycle_types, induced_permutations
+from .domain import Domain, build_domain, cycle_types, distinct_rows, induced_permutations
 from .group import element_index, mul_table
 from .kernels import sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
@@ -113,11 +113,8 @@ def _two_level_sweep(perms, workers: int) -> np.ndarray:
     for i in range(half):
         images |= (b_reps[:, None] >> i & 1) << b_rows[:, i]
     # distinct A-rows by first occurrence, and which of them each stabilizer holds
-    first: dict[bytes, int] = {}
-    a_ids = np.array([first.setdefault(row.tobytes(), len(first)) for row in a_rows])
-    distinct = np.empty((len(first), half), dtype=np.int64)
-    distinct[a_ids] = a_rows
-    holds = np.zeros((len(b_reps), len(first)), dtype=bool)
+    distinct, a_ids = distinct_rows(a_rows)
+    holds = np.zeros((len(b_reps), len(distinct)), dtype=bool)
     rep, fixing = np.nonzero(images == b_reps[:, None])
     holds[rep, a_ids[fixing]] = True
     a_reps: dict[bytes, np.ndarray] = {}

@@ -10,10 +10,8 @@ its counts.discrepancies entry from it.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracle, polya
-from .domain import check_array_memory, closed_form_cycle_types, cycle_types
+from .domain import align_lengths, check_array_memory, closed_form_cycle_types, cycle_types
 from .modular import check_odd_prime
 
 
@@ -110,13 +108,9 @@ def build_verification_report(
 
     # formula claim vs oracle decomposition: disagreements are reported, not fatal
     lengths = sorted(set(genuine_lengths) | set(claimed_lengths))
-
-    def on_all_lengths(own: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-        aligned = np.zeros((len(rows), len(lengths)), dtype=np.int16)
-        aligned[:, np.searchsorted(lengths, own)] = rows
-        return aligned
-
-    differ = on_all_lengths(genuine_lengths, genuine) != on_all_lengths(claimed_lengths, claimed)
+    differ = align_lengths(lengths, genuine_lengths, genuine) != align_lengths(
+        lengths, claimed_lengths, claimed
+    )
     mismatches = int(differ.any(axis=1).sum())
     add(
         "cycle_types_closed_vs_brute",

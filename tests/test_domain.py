@@ -27,6 +27,7 @@ from cayley8p.domain import (
     cycle_counts,
     cycle_type_of,
     cycle_types,
+    distinct_rows,
     induced_permutation,
     induced_permutations,
     render_cycle_type,
@@ -192,6 +193,58 @@ def test_array_cycle_types_match_cycle_type_of():
         assert _as_dicts(*cycle_types(p)) == [
             cycle_type_of(tuple(row)) for row in perms.tolist()
         ]
+
+
+@pytest.mark.parametrize("p", PRIMES + (31, 37))
+def test_half_row_cycle_types_equal_whole_row_counts(p):
+    """Counting each distinct A- and B-half once and adding the halves gives
+    exactly the pointer-jumping counts of the whole rows."""
+    lengths, counts = cycle_types(p)
+    whole_lengths, whole = cycle_counts(induced_permutations(p))
+    assert lengths == whole_lengths
+    assert np.array_equal(counts, whole)
+    assert counts.dtype == whole.dtype == np.int16
+    assert not counts.flags.writeable
+
+
+def test_a_map_across_the_blocks_is_refused_before_any_counting(monkeypatch):
+    perms = induced_permutations(3).copy()
+    perms[1, [0, 6]] = perms[1, [6, 0]]  # one A<->B column swap in one row
+    counted = []
+
+    def spy(rows):
+        counted.append(len(rows))
+        return cycle_counts(rows)
+
+    monkeypatch.setattr("cayley8p.domain.induced_permutations", lambda p: perms)
+    monkeypatch.setattr("cayley8p.domain.cycle_counts", spy)
+    with pytest.raises(ArithmeticError, match="across the A and B blocks"):
+        cycle_types.__wrapped__(3)
+    assert counted == []
+
+
+@st.composite
+def int_rows(draw):
+    """A 2-D integer array of up to 40 rows and 1 to 4 columns over few
+    values, so that rows repeat; sometimes in column order, so that the
+    items of a row are not adjacent."""
+    width = draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(st.integers(min_value=0, max_value=2), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=40))
+    dtype = draw(st.sampled_from((np.int16, np.int64)))
+    array = np.array(rows, dtype=dtype).reshape(len(rows), width)
+    return np.asfortranarray(array) if draw(st.booleans()) else array
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_rows())
+def test_distinct_rows_are_the_first_occurrences(rows):
+    distinct, ids = distinct_rows(rows)
+    assert np.array_equal(distinct[ids], rows)
+    assert distinct.dtype == rows.dtype
+    as_tuples = list(map(tuple, distinct.tolist()))
+    assert len(set(as_tuples)) == len(as_tuples)
+    assert as_tuples == list(dict.fromkeys(map(tuple, rows.tolist())))
 
 
 def test_closed_form_array_matches_the_scalar_case_analysis():

@@ -128,7 +128,7 @@ def test_element_index_roundtrip():
 
 
 def test_mul_table_matches_mul():
-    for p in (3, 5):
+    for p in (3, 5, 31):
         elems = all_elements(p)
         table = mul_table(p)
         for i, x in enumerate(elems):
