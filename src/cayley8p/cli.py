@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers,
         default=1,
-        help="split each sweep's masks into N >= 1 ranges, run on at most the CPU count "
-        "of threads; never changes results",
+        help="bound the threads of a sweep longer than one 2^15-mask chunk to N >= 1 "
+        "(and the CPU count); no sweep at p <= 7 is that long; never changes results",
     )
     add_format(sp, choices=("text", "json"))
     sp.set_defaults(fn=cmd_verify)

@@ -8,10 +8,12 @@ Mask images are computed from two half-tables per permutation
 
 One numpy kernel does the scan by chunked compaction: after each
 permutation a chunk keeps only the masks whose image is not smaller, so
-most masks leave after a few of the permutations.  Results are
-identical for any worker count: the mask space splits into contiguous
-ranges whose hits concatenate in range order.  One driver serves both
-entry points; the count is the number of representatives.
+most masks leave after a few of the permutations.  The mask space splits
+only into fixed chunks of `_CHUNK` masks, whose hits concatenate in chunk
+order, so results are identical for any worker count; `workers` only
+bounds the threads of a sweep longer than one chunk, and no command sweep
+at p <= 7 is that long.  One driver serves both entry points; the count
+is the number of representatives.
 
 A mask is minimal when no image is smaller, so the driver drops the rows
 that cannot reject anything before it builds the tables: identity rows
@@ -26,6 +28,8 @@ import numpy as np
 
 from .domain import distinct_rows
 
+# One numpy pass and one thread task.  2^15 > 2^14, the largest sweep a
+# command runs (2p bits at p = 7), so every command sweep is one chunk.
 _CHUNK = 1 << 15
 
 # Read by the benchmark harness (benchmarks/e2e/sample.py); ROADMAP item 4's
@@ -43,26 +47,23 @@ def bit_tables(perms) -> tuple[np.ndarray, np.ndarray, int, int]:
 
     Returns (tlo, thi, lo_bits, lo_mask) with tlo/thi of shape
     (n_perms, 2^half): image(m) = tlo[a, m & lo_mask] | thi[a, m >> lo_bits].
+    Each table doubles once per bit, for all permutations at once.
     """
     perms = np.asarray(perms, dtype=np.int64)
-    n_perms, n_bits = perms.shape
-    lo_bits = n_bits // 2
-    hi_bits = n_bits - lo_bits
-    tlo = np.zeros((n_perms, 1 << lo_bits), dtype=np.int64)
-    thi = np.zeros((n_perms, 1 << hi_bits), dtype=np.int64)
-    for a in range(n_perms):
-        bit_image = np.int64(1) << perms[a]
-        for b in range(lo_bits):
+    lo_bits = perms.shape[1] // 2
+    tables = []
+    for bit_images in np.split(np.int64(1) << perms, [lo_bits], axis=1):
+        n_perms, n_bits = bit_images.shape
+        table = np.zeros((n_perms, 1 << n_bits), dtype=np.int64)
+        for b in range(n_bits):
             step = 1 << b
-            tlo[a, step : 2 * step] = tlo[a, :step] | bit_image[b]
-        for b in range(hi_bits):
-            step = 1 << b
-            thi[a, step : 2 * step] = thi[a, :step] | bit_image[lo_bits + b]
-    return tlo, thi, lo_bits, (1 << lo_bits) - 1
+            table[:, step : 2 * step] = table[:, :step] | bit_images[:, b, None]
+        tables.append(table)
+    return tables[0], tables[1], lo_bits, (1 << lo_bits) - 1
 
 
 def apply_perm_to_mask(mask: int, perm) -> int:
-    """Reference image of one mask (used by tests and small-scale callers).
+    """Scalar reference image of one mask, which the tests compare the tables against.
 
     Each target is cast to int, so a row of a fixed-width array shifts as a
     Python integer instead of wrapping.
@@ -75,21 +76,13 @@ def apply_perm_to_mask(mask: int, perm) -> int:
 
 
 def _minimal(start, stop, tlo, thi, lo_bits, lo_mask):
-    """Minimal masks of [start, stop): a chunk sheds a mask at its first smaller image."""
-    hits = []
-    for lo_edge in range(start, stop, _CHUNK):
-        masks = np.arange(lo_edge, min(lo_edge + _CHUNK, stop), dtype=np.int64)
-        for a in range(tlo.shape[0]):
-            masks = masks[(tlo[a][masks & lo_mask] | thi[a][masks >> lo_bits]) >= masks]
-            if not masks.size:
-                break
-        hits.append(masks)
-    return np.concatenate(hits) if hits else np.empty(0, dtype=np.int64)
-
-
-def _ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    width = (total + workers - 1) // workers
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+    """Minimal masks of one chunk [start, stop): a mask leaves at its first smaller image."""
+    masks = np.arange(start, stop, dtype=np.int64)
+    for a in range(tlo.shape[0]):
+        masks = masks[(tlo[a][masks & lo_mask] | thi[a][masks >> lo_bits]) >= masks]
+        if not masks.size:
+            break
+    return masks
 
 
 def _distinct_moves(perms: np.ndarray) -> np.ndarray:
@@ -102,18 +95,20 @@ def _sweep(perms, workers: int) -> np.ndarray:
     """The one sweep driver: orbit-minimal masks, ascending.
 
     The tables are built once, for the distinct non-identity rows; the
-    mask space splits into `workers` contiguous ranges whose hits
-    concatenate in range order; at most os.cpu_count() threads run them.
+    mask space splits into chunks of `_CHUNK` masks whose hits concatenate
+    in chunk order; min(workers, chunks, os.cpu_count()) threads run them.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     perms = np.asarray(perms, dtype=np.int64)
-    tlo, thi, lo_bits, lo_mask = bit_tables(_distinct_moves(perms))
-    spans = _ranges(1 << perms.shape[1], workers)
-    if len(spans) == 1:
-        return _minimal(*spans[0], tlo, thi, lo_bits, lo_mask)
-    with ThreadPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_minimal, lo, hi, tlo, thi, lo_bits, lo_mask) for lo, hi in spans]
+    tables = bit_tables(_distinct_moves(perms))
+    total = 1 << perms.shape[1]
+    chunks = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+    threads = min(workers, len(chunks), os.cpu_count() or 1)
+    if threads == 1:
+        return np.concatenate([_minimal(lo, hi, *tables) for lo, hi in chunks])
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_minimal, lo, hi, *tables) for lo, hi in chunks]
         return np.concatenate([f.result() for f in futures])
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .domain import Domain, build_domain, cycle_types, distinct_rows, induced_permutations
 from .group import element_index, mul_table
-from .kernels import sweep_minimal_count, sweep_minimal_masks
+from .kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
 
 DEFAULT_ORACLE_CAP = 5
@@ -100,8 +100,10 @@ def _two_level_sweep(perms, workers: int) -> np.ndarray:
     """Orbit-minimal masks, ascending: the least B-parts, then the least A-parts
     under each one's stabilizer.
 
-    The A-sweep of a stabilizer depends only on its set of distinct
-    A-rows, so each such set is swept once per call.
+    The stabilizers come from the kernel's tables: each B-representative
+    is imaged under every B-row by `bit_tables(b_rows)`.  The A-sweep of a
+    stabilizer depends only on its set of distinct A-rows, so each such set
+    is swept once per call.
     """
     perms = np.asarray(perms, dtype=np.int64)
     half = perms.shape[1] // 2
@@ -109,9 +111,8 @@ def _two_level_sweep(perms, workers: int) -> np.ndarray:
     if (a_rows >= half).any() or (b_rows < 0).any():
         raise ArithmeticError("an automorphism sends a class across the A and B blocks")
     b_reps = sweep_minimal_masks(b_rows, workers=workers)
-    images = np.zeros((len(b_reps), len(b_rows)), dtype=np.int64)
-    for i in range(half):
-        images |= (b_reps[:, None] >> i & 1) << b_rows[:, i]
+    tlo, thi, lo_bits, lo_mask = bit_tables(b_rows)
+    images = (tlo[:, b_reps & lo_mask] | thi[:, b_reps >> lo_bits]).T
     # distinct A-rows by first occurrence, and which of them each stabilizer holds
     distinct, a_ids = distinct_rows(a_rows)
     holds = np.zeros((len(b_reps), len(distinct)), dtype=bool)

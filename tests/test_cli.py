@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cayley8p import domain, oracle, polya
+from cayley8p import domain, kernels, oracle, polya
 from cayley8p.autos import aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
@@ -182,6 +182,28 @@ def test_verify_workers_do_not_change_output(capsys):
     _, base = run(capsys, "verify", "--p", "3", "--level", "full")
     _, threaded = run(capsys, "verify", "--p", "3", "--level", "full", "--workers", "3")
     assert base == threaded
+
+
+def test_verify_many_workers_start_no_thread_pool(capsys, monkeypatch):
+    """Every sweep at p = 5 is one chunk, so --workers 65536 runs it on the calling thread."""
+    pools = []
+
+    class RecordingPool(kernels.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", RecordingPool)
+    command = ["verify", "--p", "5", "--level", "full", "--format", "json", "--workers"]
+    outputs = []
+    for workers in ("1", "65536"):
+        monkeypatch.setattr(oracle, "_reps_cache", {})
+        monkeypatch.setattr(oracle, "_census_cache", {})
+        status, out = run(capsys, *command, workers)
+        assert status == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert pools == []
 
 
 def test_verify_respects_oracle_cap(capsys):

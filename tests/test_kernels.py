@@ -13,6 +13,7 @@ from cayley8p.kernels import (
     sweep_minimal_count,
     sweep_minimal_masks,
 )
+from cayley8p.modular import units_mod
 
 # C3 rotation on 3 bits: orbits are {000}, {111}, weight-1, weight-2
 ROTATION3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -36,12 +37,32 @@ def test_apply_perm_to_mask_on_int16_rows():
     assert apply_perm_to_mask((1 << 20) - 1, perms[0]) == (1 << 20) - 1
 
 
-def test_bit_tables_reproduce_every_image():
-    perms = induced_permutations(3)
+def _circulant_rows(p: int) -> np.ndarray:
+    """The unit permutations of the p circulant classes, as circulant_orbit_count builds them."""
+    n = 2 * p
+
+    def class_idx(m: int) -> int:
+        m %= n
+        return p - 1 if m == p else min(m, n - m) - 1
+
+    reps = list(range(1, p)) + [p]
+    return np.array([[class_idx(u * r) for r in reps] for u in units_mod(n)])
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [induced_permutations(3), _circulant_rows(5), _circulant_rows(7), np.zeros((0, 6), int)],
+    ids=["induced-p3", "circulant-p5", "circulant-p7", "no-rows"],
+)
+def test_bit_tables_reproduce_every_image(perms):
+    """Odd widths give a high half one bit longer than the low half."""
     tlo, thi, lo_bits, lo_mask = bit_tables(perms)
-    assert tlo.shape == (24, 1 << 6)
+    n_perms, n_bits = perms.shape
+    assert lo_bits == n_bits // 2 and lo_mask == (1 << lo_bits) - 1
+    assert tlo.shape == (n_perms, 1 << lo_bits)
+    assert thi.shape == (n_perms, 1 << (n_bits - lo_bits))
     rng = random.Random(20260815)
-    masks = [0, 1, (1 << 12) - 1] + [rng.randrange(1 << 12) for _ in range(200)]
+    masks = [0, 1, (1 << n_bits) - 1] + [rng.randrange(1 << n_bits) for _ in range(200)]
     for m in masks:
         for a, perm in enumerate(perms):
             img = int(tlo[a, m & lo_mask] | thi[a, m >> lo_bits])
@@ -127,10 +148,12 @@ def test_minimal_masks_agree_with_count():
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4, 7])
-def test_worker_split_is_bit_identical(workers):
+def test_worker_split_is_bit_identical(workers, monkeypatch):
+    """With 2^5-mask chunks the p = 3 sweep is 128 chunks, so the threads share them."""
     perms = induced_permutations(3)
-    assert sweep_minimal_count(perms, workers=workers) == 624
     base = sweep_minimal_masks(perms, workers=1)
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 5)
+    assert sweep_minimal_count(perms, workers=workers) == 624
     assert np.array_equal(sweep_minimal_masks(perms, workers=workers), base)
 
 
@@ -158,10 +181,11 @@ def test_threads_are_bounded_by_the_cpu_count(monkeypatch):
     perms = induced_permutations(3)
     base = sweep_minimal_masks(perms)
     monkeypatch.setattr(kernels, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 5)
     monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
-    assert np.array_equal(sweep_minimal_masks(perms, workers=7), base)
-    # seven ranges, as asked, but no more threads than CPUs
-    assert [(pool.max_workers, pool.submitted) for pool in pools] == [(2, 7)]
-    sweep_minimal_masks(perms, workers=1)
-    assert len(pools) == 1  # one range runs on the calling thread
-
+    for workers in (7, 65536):
+        assert np.array_equal(sweep_minimal_masks(perms, workers=workers), base)
+    # 2^12 / 2^5 = 128 chunks, however many workers are asked for, on no more threads than CPUs
+    assert [(pool.max_workers, pool.submitted) for pool in pools] == [(2, 128), (2, 128)]
+    assert np.array_equal(sweep_minimal_masks(perms, workers=1), base)
+    assert len(pools) == 2  # one worker runs every chunk on the calling thread
