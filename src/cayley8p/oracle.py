@@ -101,22 +101,26 @@ def _two_level_sweep(perms, workers: int) -> np.ndarray:
     under each one's stabilizer.
 
     The stabilizers come from the kernel's tables: each B-representative
-    is imaged under every B-row by `bit_tables(b_rows)`.  The A-sweep of a
-    stabilizer depends only on its set of distinct A-rows, so each such set
-    is swept once per call.
+    is imaged under every distinct B-row by `bit_tables`, and each map
+    reads whether it fixes the representative off its own B-row.  The
+    A-sweep of a stabilizer depends only on its set of distinct A-rows, so
+    each such set is swept once per call.
     """
     perms = np.asarray(perms, dtype=np.int64)
     half = perms.shape[1] // 2
     a_rows, b_rows = perms[:, :half], perms[:, half:] - half
     if (a_rows >= half).any() or (b_rows < 0).any():
         raise ArithmeticError("an automorphism sends a class across the A and B blocks")
-    b_reps = sweep_minimal_masks(b_rows, workers=workers)
-    tlo, thi, lo_bits, lo_mask = bit_tables(b_rows)
+    b_distinct, b_ids = distinct_rows(b_rows)
+    b_reps = sweep_minimal_masks(b_distinct, workers=workers)
+    tlo, thi, lo_bits, lo_mask = bit_tables(b_distinct)
     images = (tlo[:, b_reps & lo_mask] | thi[:, b_reps >> lo_bits]).T
+    # whether each map fixes each B-representative, read off its distinct B-row
+    fixes = (images == b_reps[:, None])[:, b_ids]
     # distinct A-rows by first occurrence, and which of them each stabilizer holds
     distinct, a_ids = distinct_rows(a_rows)
     holds = np.zeros((len(b_reps), len(distinct)), dtype=bool)
-    rep, fixing = np.nonzero(images == b_reps[:, None])
+    rep, fixing = np.nonzero(fixes)
     holds[rep, a_ids[fixing]] = True
     a_reps: dict[bytes, np.ndarray] = {}
     parts = []

@@ -11,6 +11,11 @@ and reports any disagreement instead of hiding it.  evaluate sums
 integers, shifting instead of raising to a power when m is a power of
 two, and divides once by |Aut|.
 
+The closed form writes its monomials as literal tuples that are already
+canonical (ascending variable index, every exponent positive); only the
+divisor terms with d <= 2, where x_d or x_2d is x_1 or x_2, go through
+monomial() to merge.  Equal monomials add up in the weight map.
+
 Counts:  n_total evaluates the closed-form count formula (and must match
 the cycle index at 2), n_circulant counts circulant graphs of order 2p,
 and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
@@ -18,12 +23,13 @@ Both formulas sum one integer numerator over their common denominator
 and divide once.  All arithmetic is exact; results are unbounded integers.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .domain import cycle_types
+import numpy as np
+
+from .domain import cycle_types, distinct_rows
 from .modular import check_odd_prime, divisors, euler_phi
 
 # a monomial is a tuple of (variable index, exponent) pairs, ascending by index
@@ -68,10 +74,13 @@ class CycleIndexPoly:
         shift by k*e bits.
         """
         k = m.bit_length() - 1
-        if m > 0 and m == 1 << k:
-            total = sum(w << k * sum(e for _, e in mono) for mono, w in self.weights.items())
-        else:
-            total = sum(w * m ** sum(e for _, e in mono) for mono, w in self.weights.items())
+        shift = m > 0 and m == 1 << k
+        total = 0
+        for mono, w in self.weights.items():
+            cycles = 0
+            for _, e in mono:
+                cycles += e
+            total += w << k * cycles if shift else w * m**cycles
         value, rest = divmod(total, self.order)
         if rest:
             raise ArithmeticError(
@@ -84,13 +93,21 @@ class CycleIndexPoly:
 def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
     """Weights in units of 1/|Aut|: positive, of weighted degree 4p, summing to |Aut|."""
     aut_order = 4 * p * (p - 1)
-    cleaned = {m: w for m, w in weights.items() if w}
-    for m, w in cleaned.items():
+    cleaned = {}
+    total = 0
+    for m, w in weights.items():
+        if not w:
+            continue
         if w < 0:
             raise ArithmeticError(f"non-positive coefficient {Fraction(w, aut_order)} on {m}")
-        if weighted_degree(m) != 4 * p:
+        degree = 0
+        for k, e in m:
+            degree += k * e
+        if degree != 4 * p:
             raise ArithmeticError(f"monomial {m} has weighted degree != {4 * p}")
-    if sum(cleaned.values()) != aut_order:
+        cleaned[m] = w
+        total += w
+    if total != aut_order:
         raise ArithmeticError("cycle index does not evaluate to 1 at all-ones")
     return CycleIndexPoly(p, aut_order, cleaned)
 
@@ -104,9 +121,10 @@ def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
     """
     check_odd_prime(p)
     lengths, counts = cycle_types(p)
+    distinct, ids = distinct_rows(counts)
     weights = {
         tuple((k, e) for k, e in zip(lengths, row) if e): maps
-        for row, maps in Counter(map(tuple, counts.tolist())).items()
+        for row, maps in zip(distinct.tolist(), np.bincount(ids).tolist())
     }
     return _validate(p, weights)
 
@@ -117,7 +135,10 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
 
     The 1/(4p) block carries negative monomials; they cancel against the
     d=1 terms of the divisor sums once merged, so positivity is asserted
-    only on the final term map.
+    only on the final term map.  Monomials are written already canonical:
+    1 < 2 < p < 2p, and 2 < d < 2d for d >= 3, with every exponent >= 1.
+    Only d <= 2 lets x_d or x_2d fall on x_1 or x_2, so only there does
+    monomial() merge.
     """
     check_odd_prime(p)
     # integer weights in units of 1/|Aut|
@@ -129,14 +150,14 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
     quarter_p = p - 1  # 1/(4p) = (p-1)/|Aut|
     half = (p - 1) // 2
     for sign, mono in (
-        (-1, monomial((1, 4 * p))),
-        (-1, monomial((1, 2 * p), (2, p))),
-        (+1, monomial((1, 2 * p), (p, 2))),
-        (+1, monomial((1, 2 * p), (2 * p, 1))),
-        (-1, monomial((1, p + 1), (2, (3 * p - 1) // 2))),
-        (-1, monomial((1, 3 * p + 1), (2, half))),
-        (+1, monomial((1, p + 1), (2, half), (p, 2))),
-        (+1, monomial((1, p + 1), (2, half), (2 * p, 1))),
+        (-1, ((1, 4 * p),)),
+        (-1, ((1, 2 * p), (2, p))),
+        (+1, ((1, 2 * p), (p, 2))),
+        (+1, ((1, 2 * p), (2 * p, 1))),
+        (-1, ((1, p + 1), (2, (3 * p - 1) // 2))),
+        (-1, ((1, 3 * p + 1), (2, half))),
+        (+1, ((1, p + 1), (2, half), (p, 2))),
+        (+1, ((1, p + 1), (2, half), (2 * p, 1))),
     ):
         add(sign * quarter_p, mono)
 
@@ -144,14 +165,16 @@ def cycle_index_closed_form(p: int) -> CycleIndexPoly:
     for d in divisors(p - 1):
         w = base * euler_phi(d)
         q = (p - 1) // d
-        add(w, monomial((1, 4), (d, 4 * q)))
+        terms = [(w, ((1, 4), (d, 4 * q)))]
         if d % 2 == 0:
-            add(2 * w, monomial((1, 2), (2, 1), (d, 4 * q)))
-            add(w, monomial((1, 4), (d, 4 * q)))
+            terms.append((2 * w, ((1, 2), (2, 1), (d, 4 * q))))
+            terms.append((w, ((1, 4), (d, 4 * q))))
         else:
-            add(w, monomial((1, 2), (2, 1), (d, 2 * q), (2 * d, q)))
-            add(w, monomial((1, 2), (2, 1), (d, q), (2 * d, 3 * q // 2)))
-            add(w, monomial((1, 4), (d, 3 * q), (2 * d, q // 2)))
+            terms.append((w, ((1, 2), (2, 1), (d, 2 * q), (2 * d, q))))
+            terms.append((w, ((1, 2), (2, 1), (d, q), (2 * d, 3 * q // 2))))
+            terms.append((w, ((1, 4), (d, 3 * q), (2 * d, q // 2))))
+        for weight, mono in terms:
+            add(weight, mono if d > 2 else monomial(*mono))
     return _validate(p, weights)
 
 
@@ -171,17 +194,20 @@ def n_total(p: int) -> int:
         - (1 << ((5 * p + 1) // 2))
         + (1 << ((p - 1) // 2)) * (-(1 << (3 * p + 1)) + (1 << (p + 3)) + (1 << (p + 2)))
     )
-    # the divisor sums, each over p - 1
-    ds = divisors(p - 1)
-    all_d = 4 * sum(euler_phi(d) << (4 * (p - 1) // d) for d in ds)
-    even_d = 8 * sum(euler_phi(d) << (4 * (p - 1) // d) for d in ds if d % 2 == 0)
-    odd_d = 2 * sum(
-        euler_phi(d) * ((1 << (3 * (p - 1) // d)) + (1 << (5 * (p - 1) // (2 * d))))
-        for d in ds
-        if d % 2 == 1
-    )
-    odd_d2 = 4 * sum(euler_phi(d) << (7 * (p - 1) // (2 * d)) for d in ds if d % 2 == 1)
-    numerator = (p - 1) * block + 4 * p * (all_d + even_d + odd_d + odd_d2)
+    # the four divisor sums over p - 1, in one pass: all d (coefficient 4),
+    # even d (8) and the two odd-d groups (2 and 4); q is even when d is odd
+    all_d = even_d = odd_d = odd_d2 = 0
+    for d in divisors(p - 1):
+        phi = euler_phi(d)
+        q = (p - 1) // d
+        term = phi << 4 * q
+        all_d += term
+        if d % 2 == 0:
+            even_d += term
+        else:
+            odd_d += phi * ((1 << 3 * q) + (1 << 5 * q // 2))
+            odd_d2 += phi << 7 * q // 2
+    numerator = (p - 1) * block + 4 * p * (4 * all_d + 8 * even_d + 2 * odd_d + 4 * odd_d2)
     total, rest = divmod(numerator, aut_order)
     if rest:
         raise ArithmeticError(

@@ -1,10 +1,11 @@
 """Cycle-index polynomials, closed-form counts, and the count report."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from cayley8p import polya
+from cayley8p import cli, polya
 from cayley8p.modular import divisors, euler_phi, is_odd_prime
 from cayley8p.polya import (
     CycleIndexPoly,
@@ -200,6 +201,34 @@ def test_integer_counts_match_the_fraction_reference(p):
     r = count_report(p)
     assert (r.n_total, r.n_circulant, r.n_connected) == (total, circulant, total - circulant**2 - 8)
     assert r.methods == {"closed_form": total, "cycle_index_eval": total}
+
+
+def test_closed_form_keys_are_canonical():
+    """The closed form writes its monomials as literal tuples; a key that
+    monomial() would rewrite would split one term into two."""
+    for p in ODD_PRIMES_BELOW_3571:
+        for key in cycle_index_closed_form(p).weights:
+            assert key == monomial(*key), (p, key)
+
+
+def test_closed_form_terms_are_pinned():
+    """Every term at every odd prime below 3571, as the canonicalizing build gave them."""
+    terms = [(p, sorted(cycle_index_closed_form(p).weights.items())) for p in ODD_PRIMES_BELOW_3571]
+    assert sum(len(t) for _, t in terms) == 20145
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+        "a7374dd9e9e5cbc3e0801583029d19685e02974204b73168a0c3df17239335ee"
+    )
+
+
+def test_table_csv_is_pinned(capsys):
+    """The whole table over the odd primes below 3571, as the canonicalizing build printed it."""
+    p_list = ",".join(map(str, ODD_PRIMES_BELOW_3571))
+    assert cli.main(["table", "--p-list", p_list, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 2221032
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47e1f5eae90477362925b785e190e93e92caa8a2dd858cd49e4f1c9cbc484352"
+    )
 
 
 def test_count_report_defaults():
