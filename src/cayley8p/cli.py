@@ -164,7 +164,7 @@ _STATUS_TAG = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
 
 def cmd_verify(args) -> int:
-    report = build_verification_report(args.p, args.level, args.max_oracle_p, args.workers)
+    report = build_verification_report(args.p, args.level, args.max_oracle_p)
     exit_status = 1 if report.failed else 0
     if args.format == "json":
         payload = {
@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers,
         default=1,
-        help="bound the threads of a sweep longer than one 2^15-mask chunk to N >= 1 "
-        "(and the CPU count); no sweep at p <= 7 is that long; never changes results",
+        help="accepted for compatibility and checked to be N >= 1; never changes "
+        "results: every sweep runs on the calling thread in fixed 2^15-mask chunks",
     )
     add_format(sp, choices=("text", "json"))
     sp.set_defaults(fn=cmd_verify)

@@ -9,11 +9,10 @@ Mask images are computed from two half-tables per permutation
 One numpy kernel does the scan by chunked compaction: after each
 permutation a chunk keeps only the masks whose image is not smaller, so
 most masks leave after a few of the permutations.  The mask space splits
-only into fixed chunks of `_CHUNK` masks, whose hits concatenate in chunk
-order, so results are identical for any worker count; `workers` only
-bounds the threads of a sweep longer than one chunk, and no command sweep
-at p <= 7 is that long.  One driver serves both entry points; the count
-is the number of representatives.
+into fixed chunks of `_CHUNK` masks, which bound the memory of one pass;
+the chunks run one after another on the calling thread and their hits
+concatenate in chunk order.  One driver serves both entry points; the
+count is the number of representatives.
 
 A mask is minimal when no image is smaller, so the driver drops the rows
 that cannot reject anything before it builds the tables: identity rows
@@ -21,15 +20,12 @@ that cannot reject anything before it builds the tables: identity rows
 The kept rows stay in their given order.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .domain import distinct_rows
 
-# One numpy pass and one thread task.  2^15 > 2^14, the largest sweep a
-# command runs (2p bits at p = 7), so every command sweep is one chunk.
+# One numpy pass.  2^15 > 2^14, the largest sweep a command runs (2p bits
+# at p = 7), so every command sweep is one chunk.
 _CHUNK = 1 << 15
 
 # Read by the benchmark harness (benchmarks/e2e/sample.py); ROADMAP item 4's
@@ -91,33 +87,32 @@ def _distinct_moves(perms: np.ndarray) -> np.ndarray:
     return distinct[(distinct != np.arange(perms.shape[1])).any(axis=1)]
 
 
-def _sweep(perms, workers: int) -> np.ndarray:
+def _sweep(perms) -> np.ndarray:
     """The one sweep driver: orbit-minimal masks, ascending.
 
     The tables are built once, for the distinct non-identity rows; the
-    mask space splits into chunks of `_CHUNK` masks whose hits concatenate
-    in chunk order; min(workers, chunks, os.cpu_count()) threads run them.
+    mask space splits into chunks of `_CHUNK` masks, swept in order on the
+    calling thread, whose hits concatenate in chunk order.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     perms = np.asarray(perms, dtype=np.int64)
     tables = bit_tables(_distinct_moves(perms))
     total = 1 << perms.shape[1]
-    chunks = [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
-    threads = min(workers, len(chunks), os.cpu_count() or 1)
-    if threads == 1:
-        return np.concatenate([_minimal(lo, hi, *tables) for lo, hi in chunks])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_minimal, lo, hi, *tables) for lo, hi in chunks]
-        return np.concatenate([f.result() for f in futures])
+    return np.concatenate(
+        [_minimal(lo, min(lo + _CHUNK, total), *tables) for lo in range(0, total, _CHUNK)]
+    )
 
 
 def sweep_minimal_count(perms, workers: int = 1) -> int:
-    """Number of orbit-minimal masks under the given permutations."""
-    return len(_sweep(perms, workers))
+    """Number of orbit-minimal masks under the given permutations.
+
+    `workers` is checked to be at least 1 and otherwise unused: every sweep
+    runs on the calling thread.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return len(_sweep(perms))
 
 
-def sweep_minimal_masks(perms, workers: int = 1) -> np.ndarray:
+def sweep_minimal_masks(perms) -> np.ndarray:
     """The orbit-minimal masks themselves, ascending (one per orbit)."""
-    return _sweep(perms, workers)
-
+    return _sweep(perms)

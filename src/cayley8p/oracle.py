@@ -9,7 +9,7 @@ the maximal subgroups by brute force, and a mask is connected iff it lies
 inside none of them); the circulant count comes from a direct orbit scan
 over subsets of the cyclic group of order 2p.
 
-Exhaustive sweeps run once per (p, workers), in two levels.  Every
+Exhaustive sweeps run once per p, in two levels.  Every
 automorphism maps the odd-power classes B (2p..4p-1, the high bits of a
 mask) onto themselves, because <a, b^2> is the only subgroup of index
 2.  So the least mask of an orbit is its least B-part b followed by the
@@ -80,23 +80,28 @@ def orbit_partition_count(p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 
     return len(orbit_representatives(p, cap=cap, workers=workers))
 
 
-_reps_cache: dict[tuple[int, int], np.ndarray] = {}
+_reps_cache: dict[int, np.ndarray] = {}
 
 
 def orbit_representatives(
     p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
 ) -> np.ndarray:
-    """One minimal mask per orbit, ascending; swept once per (p, workers), read-only."""
+    """One minimal mask per orbit, ascending; swept once per p, read-only.
+
+    `workers` is checked to be at least 1, before the cache is read, and
+    otherwise unused: every sweep runs on the calling thread.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     check_cap(p, cap)
-    key = (p, workers)
-    if key not in _reps_cache:
-        reps = _two_level_sweep(induced_permutations(p), workers)
+    if p not in _reps_cache:
+        reps = _two_level_sweep(induced_permutations(p))
         reps.flags.writeable = False
-        _reps_cache[key] = reps
-    return _reps_cache[key]
+        _reps_cache[p] = reps
+    return _reps_cache[p]
 
 
-def _two_level_sweep(perms, workers: int) -> np.ndarray:
+def _two_level_sweep(perms) -> np.ndarray:
     """Orbit-minimal masks, ascending: the least B-parts, then the least A-parts
     under each one's stabilizer.
 
@@ -112,7 +117,7 @@ def _two_level_sweep(perms, workers: int) -> np.ndarray:
     if (a_rows >= half).any() or (b_rows < 0).any():
         raise ArithmeticError("an automorphism sends a class across the A and B blocks")
     b_distinct, b_ids = distinct_rows(b_rows)
-    b_reps = sweep_minimal_masks(b_distinct, workers=workers)
+    b_reps = sweep_minimal_masks(b_distinct)
     tlo, thi, lo_bits, lo_mask = bit_tables(b_distinct)
     images = (tlo[:, b_reps & lo_mask] | thi[:, b_reps >> lo_bits]).T
     # whether each map fixes each B-representative, read off its distinct B-row
@@ -127,7 +132,7 @@ def _two_level_sweep(perms, workers: int) -> np.ndarray:
     for b, row_set in zip(b_reps.tolist(), holds):
         key = row_set.tobytes()
         if key not in a_reps:
-            a_reps[key] = sweep_minimal_masks(distinct[row_set], workers=workers)
+            a_reps[key] = sweep_minimal_masks(distinct[row_set])
         parts.append(b << half | a_reps[key])
     return np.concatenate(parts)
 
@@ -233,11 +238,11 @@ def _connected_flags(p: int, masks) -> np.ndarray:
 _census_cache: dict[int, tuple[int, int, int]] = {}
 
 
-def _classify_orbits(p: int, cap: int, workers: int) -> tuple[int, int, int]:
+def _classify_orbits(p: int, cap: int) -> tuple[int, int, int]:
     """(connected, disconnected_a_only, disconnected_b_touching) orbit counts."""
     if p in _census_cache:
         return _census_cache[p]
-    reps = orbit_representatives(p, cap=cap, workers=workers)
+    reps = orbit_representatives(p, cap=cap)
     connected = _connected_flags(p, reps)
     b_touching = (reps >> 2 * p) != 0  # classes 2p and up hold the odd powers of b
     _census_cache[p] = (
@@ -248,20 +253,16 @@ def _classify_orbits(p: int, cap: int, workers: int) -> tuple[int, int, int]:
     return _census_cache[p]
 
 
-def connected_orbit_count(
-    p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
-) -> int:
+def connected_orbit_count(p: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Orbits whose representative generates the whole group (graph connected)."""
     check_cap(p, cap)
-    return _classify_orbits(p, cap, workers)[0]
+    return _classify_orbits(p, cap)[0]
 
 
-def disconnected_census(
-    p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
-) -> dict[str, int]:
+def disconnected_census(p: int, cap: int = DEFAULT_ORACLE_CAP) -> dict[str, int]:
     """Disconnected orbits split by whether the set touches the odd-power block."""
     check_cap(p, cap)
-    _, a_only, b_touching = _classify_orbits(p, cap, workers)
+    _, a_only, b_touching = _classify_orbits(p, cap)
     return {"a_only_orbits": a_only, "b_touching_orbits": b_touching}
 
 

@@ -76,12 +76,10 @@ class VerificationReport:
 
 
 def build_verification_report(
-    p: int, level: str, cap: int = oracle.DEFAULT_ORACLE_CAP, workers: int = 1
+    p: int, level: str, cap: int = oracle.DEFAULT_ORACLE_CAP
 ) -> VerificationReport:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     check_odd_prime(p)
     check_array_memory(p)  # refusals first, before any work
     if level == "full":
@@ -143,7 +141,7 @@ def build_verification_report(
     )
 
     if level == "full":
-        orbit_total = oracle.orbit_partition_count(p, cap=cap, workers=workers)
+        orbit_total = oracle.orbit_partition_count(p, cap=cap)
         add(
             "orbit_partition_vs_burnside",
             orbit_total == burnside,
@@ -151,10 +149,10 @@ def build_verification_report(
         )
         compare("n_total", "orbit_partition", orbit_total)
         compare("n_circulant", "oracle_circulant", oracle.circulant_orbit_count(p))
-        connected = oracle.connected_orbit_count(p, cap=cap, workers=workers)
+        connected = oracle.connected_orbit_count(p, cap=cap)
         compare("n_connected", "oracle_connected", connected)
 
-        census = oracle.disconnected_census(p, cap=cap, workers=workers)
+        census = oracle.disconnected_census(p, cap=cap)
         a_only = census["a_only_orbits"]
         b_touching = census["b_touching_orbits"]
         add(

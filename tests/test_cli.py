@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cayley8p import domain, kernels, oracle, polya
+from cayley8p import domain, oracle, polya
 from cayley8p.autos import aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
@@ -184,28 +184,6 @@ def test_verify_workers_do_not_change_output(capsys):
     assert base == threaded
 
 
-def test_verify_many_workers_start_no_thread_pool(capsys, monkeypatch):
-    """Every sweep at p = 5 is one chunk, so --workers 65536 runs it on the calling thread."""
-    pools = []
-
-    class RecordingPool(kernels.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", RecordingPool)
-    command = ["verify", "--p", "5", "--level", "full", "--format", "json", "--workers"]
-    outputs = []
-    for workers in ("1", "65536"):
-        monkeypatch.setattr(oracle, "_reps_cache", {})
-        monkeypatch.setattr(oracle, "_census_cache", {})
-        status, out = run(capsys, *command, workers)
-        assert status == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
-    assert pools == []
-
-
 def test_verify_respects_oracle_cap(capsys):
     status = main(["verify", "--p", "7", "--level", "full"])
     assert status == 2
@@ -214,10 +192,11 @@ def test_verify_respects_oracle_cap(capsys):
 
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_verify_rejects_fewer_than_one_worker(capsys, workers):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--p", "3", "--level", "full", "--workers", workers])
-    assert exc.value.code == 2
-    assert "--workers: must be at least 1" in capsys.readouterr().err
+    for level in ("full", "quick"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", "3", "--level", level, "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
 
 
 def test_verify_p7_prints_the_readme_block(capsys, monkeypatch):

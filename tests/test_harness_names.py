@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from cayley8p import kernels, oracle
+from cayley8p import cli, kernels, oracle
+from cayley8p.domain import induced_permutations
 
 HARNESS = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
@@ -54,3 +55,11 @@ def test_sample_reads_the_backend_names():
         ("domain", "induced_permutations"),
     ]:
         assert callable(_resolve(module, attr))
+
+
+def test_harness_passes_workers():
+    """The sweep probe passes workers=2 and every workload --workers 1;
+    dropping either keyword would break every benchmark sample."""
+    assert kernels.sweep_minimal_count(induced_permutations(3), workers=2) == 624
+    command = ["verify", "--p", "3", "--level", "full", "--workers", "1", "--format", "json"]
+    assert cli.main(command) == 0

@@ -1,4 +1,4 @@
-"""Bit-table sweep kernel: correctness, row-order independence, worker parity."""
+"""Bit-table sweep kernel: correctness, row-order independence, chunk split."""
 
 import random
 
@@ -136,9 +136,9 @@ def test_tables_are_built_only_for_distinct_moving_rows(monkeypatch):
     for row in rows.tolist():
         if row != identity and row not in want:
             want.append(row)
-    assert sweep_minimal_masks(rows, workers=7).tolist() == sweep_minimal_masks(perms).tolist()
+    assert sweep_minimal_masks(rows).tolist() == sweep_minimal_masks(perms).tolist()
     assert tabled[0] == want
-    assert len(tabled) == 2  # one table build per sweep, whatever the worker count
+    assert len(tabled) == 2  # one table build per sweep, whatever its chunk count
 
 
 def test_minimal_masks_agree_with_count():
@@ -147,45 +147,27 @@ def test_minimal_masks_agree_with_count():
         assert len(sweep_minimal_masks(perms)) == sweep_minimal_count(perms)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 4, 7])
-def test_worker_split_is_bit_identical(workers, monkeypatch):
-    """With 2^5-mask chunks the p = 3 sweep is 128 chunks, so the threads share them."""
+def test_chunk_split_is_bit_identical(monkeypatch):
+    """With 2^5-mask chunks the p = 3 sweep is 128 chunks, whose hits concatenate
+    in chunk order into the one-chunk result."""
     perms = induced_permutations(3)
-    base = sweep_minimal_masks(perms, workers=1)
+    base = sweep_minimal_masks(perms)
+    chunks = []
+    original = kernels._minimal
+
+    def minimal(start, stop, *tables):
+        chunks.append((start, stop))
+        return original(start, stop, *tables)
+
+    monkeypatch.setattr(kernels, "_minimal", minimal)
     monkeypatch.setattr(kernels, "_CHUNK", 1 << 5)
-    assert sweep_minimal_count(perms, workers=workers) == 624
-    assert np.array_equal(sweep_minimal_masks(perms, workers=workers), base)
+    split = sweep_minimal_masks(perms)
+    assert chunks == [(lo, lo + 32) for lo in range(0, 1 << 12, 32)]
+    assert split.dtype == base.dtype and split.tobytes() == base.tobytes()
+    assert sweep_minimal_count(perms) == len(split) == 624
 
 
 @pytest.mark.parametrize("workers", [0, -5])
 def test_sweep_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="at least 1"):
         sweep_minimal_count(ROTATION3, workers=workers)
-    with pytest.raises(ValueError, match="at least 1"):
-        sweep_minimal_masks(ROTATION3, workers=workers)
-
-
-def test_threads_are_bounded_by_the_cpu_count(monkeypatch):
-    pools = []
-
-    class RecordingPool(kernels.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.max_workers, self.submitted = max_workers, 0
-            pools.append(self)
-
-        def submit(self, *args, **kwargs):
-            self.submitted += 1
-            return super().submit(*args, **kwargs)
-
-    perms = induced_permutations(3)
-    base = sweep_minimal_masks(perms)
-    monkeypatch.setattr(kernels, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(kernels, "_CHUNK", 1 << 5)
-    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
-    for workers in (7, 65536):
-        assert np.array_equal(sweep_minimal_masks(perms, workers=workers), base)
-    # 2^12 / 2^5 = 128 chunks, however many workers are asked for, on no more threads than CPUs
-    assert [(pool.max_workers, pool.submitted) for pool in pools] == [(2, 128), (2, 128)]
-    assert np.array_equal(sweep_minimal_masks(perms, workers=1), base)
-    assert len(pools) == 2  # one worker runs every chunk on the calling thread

@@ -17,7 +17,7 @@ import independent_model as im
 from cayley8p import oracle
 from cayley8p.domain import KIND_A2, KIND_AP, KIND_B, build_domain, induced_permutations
 from cayley8p.group import GroupElement, element_index
-from cayley8p.kernels import apply_perm_to_mask, sweep_minimal_masks
+from cayley8p.kernels import apply_perm_to_mask, sweep_minimal_count, sweep_minimal_masks
 from cayley8p.oracle import (
     build_cayley_graph,
     burnside_count,
@@ -90,26 +90,49 @@ def test_p_beyond_the_bitset_limit_is_refused_before_any_sweep(monkeypatch):
     assert swept == []
 
 
-def test_representatives_are_swept_once_per_p_and_workers(monkeypatch):
+def test_representatives_are_swept_once_per_p(monkeypatch):
     calls = []
     original = oracle.sweep_minimal_masks
 
-    def sweep(perms, workers):
-        calls.append(workers)
-        return original(perms, workers=workers)
+    def sweep(perms):
+        calls.append(len(perms))
+        return original(perms)
 
     monkeypatch.setattr(oracle, "_reps_cache", {})
     monkeypatch.setattr(oracle, "_census_cache", {})
     monkeypatch.setattr(oracle, "sweep_minimal_masks", sweep)
     total = orbit_partition_count(3)
     assert connected_orbit_count(3) + sum(disconnected_census(3).values()) == total == 624
-    assert calls and set(calls) == {1}
-    first = len(calls)
-    orbit_representatives(3, workers=2)
-    assert len(calls) > first and set(calls[first:]) == {2}
     swept = len(calls)
-    orbit_representatives(3, workers=2)
+    assert swept
+    reps = orbit_representatives(3)
+    for workers in (1, 2, 4, 65536):
+        assert orbit_representatives(3, workers=workers) is reps
+        assert orbit_partition_count(3, workers=workers) == 624
     assert len(calls) == swept
+    assert list(oracle._reps_cache) == [3]
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_fewer_than_one_worker_is_refused_cold_and_warm(workers, monkeypatch):
+    """The check comes before the p-keyed cache is read, so a cached p is
+    refused as well as a cold one."""
+    perms = induced_permutations(3)
+    calls = [
+        lambda w: orbit_representatives(3, workers=w),
+        lambda w: orbit_partition_count(3, workers=w),
+        lambda w: sweep_minimal_count(perms, workers=w),
+    ]
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    for call in calls:
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            call(workers)
+    assert oracle._reps_cache == {}
+    for call in calls:
+        call(1)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            call(workers)
+    assert list(oracle._reps_cache) == [3]
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -154,9 +177,9 @@ def test_each_distinct_stabilizer_is_swept_once(monkeypatch):
     swept = []
     original = oracle.sweep_minimal_masks
 
-    def sweep(rows, workers):
+    def sweep(rows):
         swept.append({tuple(row) for row in np.asarray(rows).tolist()})
-        return original(rows, workers=workers)
+        return original(rows)
 
     monkeypatch.setattr(oracle, "_reps_cache", {})
     monkeypatch.setattr(oracle, "sweep_minimal_masks", sweep)
@@ -171,7 +194,7 @@ def test_stabilizers_of_equal_size_are_swept_apart():
     e, x, y = range(4), [1, 0, 2, 3], [0, 1, 3, 2]
     group = [(e, e), (x, x), (y, y), ([x[i] for i in y], [x[i] for i in y])]
     rows = np.array([list(a) + [4 + t for t in b] for a, b in group])
-    reps = oracle._two_level_sweep(rows, workers=1)
+    reps = oracle._two_level_sweep(rows)
     assert reps.tolist() == sweep_minimal_masks(rows).tolist()
 
 

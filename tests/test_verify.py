@@ -61,10 +61,3 @@ def test_unknown_level_is_refused_before_any_work(level, monkeypatch):
     monkeypatch.setattr(polya, "count_report", _no_work)
     with pytest.raises(ValueError, match="level must be quick or full"):
         build_verification_report(3, level)
-
-
-@pytest.mark.parametrize(("level", "workers"), [("full", 0), ("full", -5), ("quick", 0)])
-def test_fewer_than_one_worker_is_refused_before_any_work(level, workers, monkeypatch):
-    monkeypatch.setattr(polya, "count_report", _no_work)
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        build_verification_report(3, level, workers=workers)
