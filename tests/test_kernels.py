@@ -167,6 +167,17 @@ def test_chunk_split_is_bit_identical(monkeypatch):
     assert sweep_minimal_count(perms) == len(split) == 624
 
 
+@pytest.mark.parametrize("workers", [2, 3, 4, 7])
+def test_worker_split_is_bit_identical(workers, monkeypatch):
+    """A worker count above 1 is accepted and changes nothing: the p = 3 sweep
+    split into 128 chunks of 2^5 masks still keeps the same 624 minima."""
+    perms = induced_permutations(3)
+    base = sweep_minimal_masks(perms)
+    monkeypatch.setattr(kernels, "_CHUNK", 1 << 5)
+    assert sweep_minimal_count(perms, workers=workers) == 624
+    assert np.array_equal(sweep_minimal_masks(perms), base)
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_sweep_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match="at least 1"):
