@@ -22,12 +22,13 @@ representatives are held as one int64 mask per orbit, and p = 11 has at
 least 2^44/440, about 4.0e10, orbits.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Domain, build_domain, cycle_types, distinct_rows, induced_permutations
-from .group import element_index, mul_table
+from .group import mul_table
 from .kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
 
@@ -109,7 +110,8 @@ def _two_level_sweep(perms) -> np.ndarray:
     is imaged under every distinct B-row by `bit_tables`, and each map
     reads whether it fixes the representative off its own B-row.  The
     A-sweep of a stabilizer depends only on its set of distinct A-rows, so
-    each such set is swept once per call.
+    `distinct_rows` groups the B-representatives by that set and each set
+    is swept once per call.
     """
     perms = np.asarray(perms, dtype=np.int64)
     half = perms.shape[1] // 2
@@ -127,29 +129,17 @@ def _two_level_sweep(perms) -> np.ndarray:
     holds = np.zeros((len(b_reps), len(distinct)), dtype=bool)
     rep, fixing = np.nonzero(fixes)
     holds[rep, a_ids[fixing]] = True
-    a_reps: dict[bytes, np.ndarray] = {}
-    parts = []
-    for b, row_set in zip(b_reps.tolist(), holds):
-        key = row_set.tobytes()
-        if key not in a_reps:
-            a_reps[key] = sweep_minimal_masks(distinct[row_set])
-        parts.append(b << half | a_reps[key])
-    return np.concatenate(parts)
+    row_sets, set_ids = distinct_rows(holds)
+    a_reps = [sweep_minimal_masks(distinct[row_set]) for row_set in row_sets]
+    return np.concatenate([b << half | a_reps[i] for b, i in zip(b_reps.tolist(), set_ids)])
 
 
 # ---------- explicit graphs and connectivity ----------
 
 
 def mask_elements(d: Domain, mask: int) -> list[int]:
-    """Element indices of the union of the selected classes."""
-    out = [
-        element_index(g)
-        for ci in range(len(d.classes))
-        if mask >> ci & 1
-        for g in d.classes[ci].members
-    ]
-    out.sort()
-    return out
+    """Element indices of the union of the selected classes, ascending."""
+    return [e for e, c in enumerate(d.class_of_element) if c >= 0 and mask >> c & 1]
 
 
 @dataclass(frozen=True)
@@ -274,18 +264,26 @@ def circulant_orbit_count(p: int) -> int:
 
     The p classes are the pairs {i, 2p-i} (i = 1..p-1) plus the
     singleton {p}; a unit u maps the class of i to the class of u*i.
-    Counted by the same minimal-mask sweep as the main oracle.
+    Counted by the same minimal-mask sweep as the main oracle, which holds
+    one int64 mask per orbit, twice while its chunks concatenate.  The
+    units act in pairs u, -u, so there are at least 2^p/((p-1)/2) orbits;
+    a p whose 16 bytes per orbit would take more than half of physical
+    memory is refused with ValueError before any work (from p = 37 on with
+    8 GiB).
     """
     check_odd_prime(p)
+    pairs = (p - 1) // 2
+    need = 16 * ((1 << p) // pairs)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory // 2:
+        raise ValueError(
+            f"p={p} needs {need >> 20:,} MiB for the at least 2^{p}/{pairs} orbits its "
+            f"circulant sweep holds, more than half of the {memory / 2**20:,.1f} MiB of "
+            f"physical memory"
+        )
     n = 2 * p
-
-    def class_idx(m: int) -> int:
-        m %= n
-        return p - 1 if m == p else min(m, n - m) - 1
-
-    reps = list(range(1, p)) + [p]
-    perms = [[class_idx(u * r) for r in reps] for u in units_mod(n)]
-    return sweep_minimal_count(perms)
+    images = np.outer(units_mod(n), np.r_[1:p, p]) % n
+    return sweep_minimal_count(np.minimum(images, n - images) - 1)
 
 
 # ---------- renderings ----------

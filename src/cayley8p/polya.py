@@ -23,9 +23,11 @@ Both formulas sum one integer numerator over their common denominator
 and divide once.  All arithmetic is exact; results are unbounded integers.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -59,7 +61,7 @@ class CycleIndexPoly:
 
     p: int
     order: int
-    weights: dict[Monomial, int]
+    weights: Mapping[Monomial, int]
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -91,7 +93,11 @@ class CycleIndexPoly:
 
 
 def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
-    """Weights in units of 1/|Aut|: positive, of weighted degree 4p, summing to |Aut|."""
+    """Weights in units of 1/|Aut|: positive, of weighted degree 4p, summing to |Aut|.
+
+    The weights are stored read-only: both builders are cached, so a
+    caller's write would otherwise change every later count at that p.
+    """
     aut_order = 4 * p * (p - 1)
     cleaned = {}
     total = 0
@@ -109,7 +115,7 @@ def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
         total += w
     if total != aut_order:
         raise ArithmeticError("cycle index does not evaluate to 1 at all-ones")
-    return CycleIndexPoly(p, aut_order, cleaned)
+    return CycleIndexPoly(p, aut_order, MappingProxyType(cleaned))
 
 
 @lru_cache(maxsize=None)

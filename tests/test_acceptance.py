@@ -29,6 +29,7 @@ import numpy as np
 
 import independent_model as im
 
+from cayley8p import oracle
 from cayley8p.autos import compose, enumerate_aut
 from cayley8p.cli import main as cli_main
 from cayley8p.domain import (
@@ -158,17 +159,21 @@ def test_criterion_2_burnside_equals_closed_form():
     )
 
 
-def test_criterion_3_exhaustive_orbit_partition():
+def test_criterion_3_exhaustive_orbit_partition(monkeypatch):
     t0 = time.perf_counter()
     count3 = orbit_partition_count(3)
     t3 = time.perf_counter() - t0
     t0 = time.perf_counter()
     count5 = orbit_partition_count(5, workers=1)
     t5 = time.perf_counter() - t0
-    counts = {w: orbit_partition_count(5, workers=w) for w in (1, 2, 4)}
-    base = orbit_representatives(5, workers=1)
+    counts, reps = {}, {}
+    for w in (1, 2, 4):
+        # re-sweep at every worker count: a cached array would only equal itself
+        monkeypatch.delitem(oracle._reps_cache, 5, raising=False)
+        counts[w] = orbit_partition_count(5, workers=w)
+        reps[w] = orbit_representatives(5, workers=w)
     identical = len(set(counts.values())) == 1 and all(
-        np.array_equal(orbit_representatives(5, workers=w), base) for w in (2, 4)
+        np.array_equal(reps[w], reps[1]) for w in (2, 4)
     )
     want3 = im.orbit_data(3)[0]
     want5 = im.burnside_count(5)

@@ -122,6 +122,14 @@ def test_table_text_columns_line_up_with_their_headers(capsys, p_list):
         assert [m.end() for m in re.finditer(r"\S+", row)] == column_ends
 
 
+def test_table_json_lists_the_count_objects_in_p_list_order(capsys):
+    status, out = run(capsys, "table", "--p-list", "5,3", "--format", "json")
+    assert status == 0
+    counts = [json.loads(run(capsys, "count", "--p", p, "--format", "json")[1]) for p in "53"]
+    assert json.loads(out) == counts
+    assert [row["p"] for row in json.loads(out)] == [5, 3]
+
+
 def test_table_rejects_bad_token(capsys):
     assert main(["table", "--p-list", "3,x"]) == 2
     capsys.readouterr()
@@ -197,6 +205,13 @@ def test_verify_rejects_fewer_than_one_worker(capsys, workers):
             main(["verify", "--p", "3", "--level", level, "--workers", workers])
         assert exc.value.code == 2
         assert "--workers: must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_non_integer_worker_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "3", "--workers", "abc"])
+    assert exc.value.code == 2
+    assert "--workers: not an integer: 'abc'" in capsys.readouterr().err
 
 
 def test_verify_p7_prints_the_readme_block(capsys, monkeypatch):

@@ -6,7 +6,9 @@ model in independent_model.py, so regressions in either direction
 (package or expectations) surface immediately.
 """
 
+import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -140,6 +142,7 @@ def test_representatives_equal_the_flat_sweep(p, monkeypatch):
     monkeypatch.setattr(oracle, "_reps_cache", {})
     flat = sweep_minimal_masks(induced_permutations(p))
     for workers in (1, 2, 4):
+        oracle._reps_cache.pop(p, None)  # re-sweep: a cached array would only equal itself
         reps = orbit_representatives(p, workers=workers)
         assert reps.dtype == flat.dtype
         assert reps.tobytes() == flat.tobytes()
@@ -350,6 +353,9 @@ def test_mask_elements_layout():
     ]
     assert mask_elements(d, 1 << 5) == [element_index(GroupElement(3, 3, 0))]
     assert len(mask_elements(d, (1 << 12) - 1)) == 23
+    for mask in range(1 << 12):
+        members = {g for c in range(12) if mask >> c & 1 for g in d.classes[c].members}
+        assert mask_elements(d, mask) == sorted(map(element_index, members))
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,10 +369,22 @@ def test_connectivity_is_an_orbit_invariant(mask, perm_idx):
 
 
 def test_circulant_oracle_frozen_values():
-    genuine = {3: 8, 5: 20, 7: 48}
+    genuine = {3: 8, 5: 20, 7: 48, 11: 416, 13: 1400, 17: 16460, 19: 58288, 23: 762608}
     for p, want in genuine.items():
         assert circulant_orbit_count(p) == want
         assert circulant_orbit_count(p) > n_circulant(p)
+
+
+def test_circulant_oracle_refuses_a_p_beyond_half_of_the_memory_it_reads(monkeypatch):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=r"p=101 needs .* MiB for the at least 2\^101/50 orbits"):
+        circulant_orbit_count(101)
+    assert time.perf_counter() - t0 < 1.0
+    # 3 MiB of memory; p = 19 holds at least 2^19/9 orbits, 16 bytes each: 0.9 MiB
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 768}.get)
+    assert circulant_orbit_count(19) == 58288
+    with pytest.raises(ValueError, match="p=23 needs 11 MiB .* half of the 3.0 MiB"):
+        circulant_orbit_count(23)
 
 
 def test_mask_hex_round_trip():

@@ -139,6 +139,17 @@ def test_validate_refuses_a_corrupted_polynomial(change, message):
         polya._validate(3, change(weights))
 
 
+def test_cached_polynomials_are_read_only():
+    for poly in (cycle_index_closed_form(3), cycle_index_bruteforce(3)):
+        mono = next(iter(poly.weights))
+        with pytest.raises(TypeError):
+            poly.weights[mono] += 24
+        with pytest.raises(AttributeError):
+            poly.weights.clear()
+    assert cli.main(["count", "--p", "3"]) == 0
+    assert cli.main(["verify", "--p", "3"]) == 0
+
+
 def test_count_formulas_refuse_a_non_integer_result(monkeypatch):
     """With phi(1) = 2, both numerators at p = 11 miss a multiple of their denominator."""
     monkeypatch.setattr(polya, "euler_phi", lambda d: 2 if d == 1 else euler_phi(d))
