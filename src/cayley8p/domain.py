@@ -9,17 +9,15 @@ Every non-identity element g is grouped with its inverse into a class
     index 2p-1              the singleton {a^p} (the unique involution in <a>)
     indices 2p .. 4p-1      pairs {a^j b, a^{p+j} b^3},  labels j = 0 .. 2p-1
 
-Automorphisms permute these classes.  induced_permutations(p) holds the
-induced permutations of all 4p(p-1) maps as the rows of one read-only
-int16 array.  Every map keeps the A block (indices 0 .. 2p-1, the even
-powers of b) and the B block (2p .. 4p-1, the odd powers), so a row's
-cycle type is the sum of its two halves' types.  cycle_types(p) counts
-the cycles of each distinct half-row once, in numpy, by pointer jumping
-(cycle_counts), and adds the two halves map by map: at p = 31 the 3720
-maps have 30 distinct A-halves and 1860 distinct B-halves.  Burnside, the
-brute-force cycle index and the verify check all read that one result.
-cycle_type_of decomposes a single permutation in Python and stays as the
-scalar reference.
+Automorphisms permute these classes.  induced_halves(p) holds the action
+of all 4p(p-1) maps as distinct A- and B-half-rows, and each map's row
+among them: at p = 31 the 3720 maps have 30 distinct A-halves and 1860
+distinct B-halves.  cycle_types(p) counts the cycles of each distinct
+half-row once, in numpy, by pointer jumping (cycle_counts), and adds the
+two halves map by map.  Burnside, the brute-force cycle index, the verify
+check and the orbit sweep read the halves; induced_permutations(p)
+assembles whole rows for other callers.  cycle_type_of decomposes one
+permutation in Python and stays as the scalar reference.
 
 The closed-form side has the same layout, stored once per case:
 closed_form_cycle_types(p) runs the scalar closed_form_cycle_type on each
@@ -128,19 +126,18 @@ def induced_permutation(f: Automorphism, d: Domain) -> tuple[int, ...]:
     return perm
 
 
-def _induced_blocks(d: Domain, blocks):
-    """Yield, for each (family, alpha) of blocks, the induced permutations of
-    family(alpha, beta) for beta = 0 .. 2p-1 as two halves: the A-half, one
-    row of the A block's images shared by every beta, and the B-half, one
-    row per beta of the B block's images.
+def _induced_blocks(d: Domain, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The induced permutations of family(alpha, beta), for each (family,
+    alpha) of blocks and beta = 0 .. 2p-1, as two stacked int16 arrays: the
+    A-halves, one row per block, and the B-halves, one row per map in block
+    order, shifted down by 2p.
 
     The rules of apply are evaluated on both members of every class and the
-    images looked up in the class table.  The A classes hold even powers of
-    b, whose images do not read beta, so they are evaluated once per block;
-    the B classes once per map, for a whole block in one numpy pass.  The
-    rules keep the parity of the power of b, so a row is a bijection exactly
-    when its A-half permutes the A block and its B-half the B block.  A
-    straddled class or a repeated image raises exactly as in
+    images looked up in the class table: the A classes (even powers of b,
+    whose images do not read beta) once per block, the B classes once per
+    map, a whole block in one numpy pass.  A row is a bijection that keeps
+    the blocks exactly when its A-half and its shifted B-half each permute
+    0 .. 2p-1.  A straddled class or a repeated image raises exactly as in
     induced_permutation, for the first beta that shows it.
     """
     p, n = d.p, 2 * d.p
@@ -150,14 +147,16 @@ def _induced_blocks(d: Domain, blocks):
     k_a, l_a, k_b, l_b = k[:n], l[:n], k[n:], l[n:]
     class_of = np.array(d.class_of_element)
     beta = np.arange(n)[:, None, None]
-    for family, alpha in blocks:
+    a_halves = np.empty((len(blocks), n), dtype=np.int16)
+    b_halves = np.empty((len(blocks), n, n), dtype=np.int16)
+    for i, (family, alpha) in enumerate(blocks):
         if family == SIGMA:
             a_images = class_of[l_a * n + k_a * alpha % n]
             l_image = l_b
         else:
             a_images = class_of[l_a * n + (k_a * alpha + np.where(l_a == 2, p, 0)) % n]
             l_image = 4 - l_b
-        b_images = class_of[l_image * n + (k_b * alpha + beta) % n]
+        b_images = class_of[l_image * n + (k_b * alpha + beta) % n] - n
         a_half, b_half = a_images[:, 0], b_images[..., 0]
         a_split = a_images[:, 1] != a_half
         b_split = b_images[..., 1] != b_half
@@ -168,13 +167,14 @@ def _induced_blocks(d: Domain, blocks):
                 f"{family}({alpha},{b}) splits class {d.classes[c].rep} across two classes"
             )
         a_repeats = (np.sort(a_half) != np.arange(n)).any()
-        b_repeats = (np.sort(b_half, axis=1) != np.arange(n, 2 * n)).any(axis=1)
+        b_repeats = (np.sort(b_half, axis=1) != np.arange(n)).any(axis=1)
         if a_repeats or b_repeats.any():
             raise ArithmeticError(
                 f"{family}({alpha},{0 if a_repeats else b_repeats.argmax()}) "
                 "does not act bijectively on the classes"
             )
-        yield a_half, b_half
+        a_halves[i], b_halves[i] = a_half, b_half
+    return a_halves, b_halves.reshape(-1, n)
 
 
 def _check_int16_classes(p: int) -> None:
@@ -186,10 +186,10 @@ def _check_int16_classes(p: int) -> None:
 
 def check_array_memory(p: int) -> None:
     """Refuse a p whose int16 permutation array, 4p(p-1) by 4p, would take
-    more than a quarter of physical memory.  What cycle_types builds from it
-    (sorted half-row keys, distinct half-rows and their counts) peaks below
-    the array's own size at large p (0.84 of it at p = 101), so the two
-    together stay under half."""
+    more than a quarter of physical memory.  No genuine count builds that
+    array: induced_halves and cycle_types peak at 1.3 times its size at
+    p = 101 (tracemalloc), and induced_permutations, which assembles it from
+    the halves, at 1.8 times, so both stay under half."""
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory // 2:
@@ -200,23 +200,42 @@ def check_array_memory(p: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def induced_halves(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct half-rows of the induced action, and each map's row among them.
+
+    Every automorphism maps <a, b^2>, the only subgroup of index 2, onto
+    itself, so it keeps the A block (classes 0 .. 2p-1, the even powers of
+    b) and the B block (2p .. 4p-1, the odd powers): its induced permutation
+    is an A-half beside a B-half, and its cycle type is the sum of theirs.
+    _induced_blocks refuses a map that crosses the blocks.  Returns (a_rows,
+    a_ids, b_rows, b_ids): the distinct halves, B shifted down by 2p, in
+    order of first occurrence, as read-only int16 arrays; and each map's
+    row among them, in enumerate_aut order, as read-only intp arrays.
+    """
+    check_odd_prime(p)
+    _check_int16_classes(p)
+    check_array_memory(p)
+    a_halves, b_halves = _induced_blocks(build_domain(p), aut_blocks(p))
+    a_rows, block_ids = distinct_rows(a_halves)
+    b_rows, b_ids = distinct_rows(b_halves)
+    a_ids = np.repeat(block_ids, 2 * p)  # an A-half is shared by the 2p maps of its block
+    for array in (a_rows, a_ids, b_rows, b_ids):
+        array.flags.writeable = False
+    return a_rows, a_ids, b_rows, b_ids
+
+
+@lru_cache(maxsize=None)
 def induced_permutations(p: int) -> np.ndarray:
     """Induced permutation for every enumerated automorphism, in enumeration order.
 
     A read-only int16 array of shape (4p(p-1), 4p) whose row i equals
     induced_permutation(f, build_domain(p)) for the i-th f of
-    enumerate_aut(p).  It is filled one block of the 2p maps that share
-    (family, alpha) at a time, its A-half broadcast over the block.
+    enumerate_aut(p), assembled from induced_halves(p).
     """
-    check_odd_prime(p)
-    _check_int16_classes(p)
-    check_array_memory(p)
-    n = 2 * p
-    blocks = aut_blocks(p)
-    perms = np.empty((len(blocks) * n, 4 * p), dtype=np.int16)
-    for i, (a_half, b_half) in enumerate(_induced_blocks(build_domain(p), blocks)):
-        perms[i * n : (i + 1) * n, :n] = a_half
-        perms[i * n : (i + 1) * n, n:] = b_half
+    a_rows, a_ids, b_rows, b_ids = induced_halves(p)
+    perms = np.empty((len(a_ids), 4 * p), dtype=np.int16)
+    perms[:, : 2 * p] = a_rows[a_ids]
+    np.add(b_rows[b_ids], 2 * p, out=perms[:, 2 * p :])
     perms.flags.writeable = False
     return perms
 
@@ -298,24 +317,14 @@ def align_lengths(lengths, own, counts: np.ndarray) -> np.ndarray:
 def cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray]:
     """cycle_counts of induced_permutations(p): one row per map, enumeration order.
 
-    Every map keeps the A block and the B block, so its cycle type is the
-    sum of the cycle types of its two halves.  cycle_counts runs on the
-    distinct rows of each half only; the counts go back to every map by its
-    row id and the halves add up on the union of their lengths.  A row that
-    sends a class across the blocks is refused before any counting.
+    A map's type is the sum of its halves' types (see induced_halves), so
+    each distinct half-row is counted once and every map adds its two rows.
     """
-    perms = induced_permutations(p)
-    half = 2 * p
-    if (perms[:, :half] >= half).any() or (perms[:, half:] < half).any():
-        raise ArithmeticError("an automorphism sends a class across the A and B blocks")
-    halves = []
-    for offset in (0, half):
-        distinct, ids = distinct_rows(perms[:, offset : offset + half])
-        own, counts = cycle_counts(distinct - offset)
-        halves.append((own, counts[ids]))
-    lengths = tuple(sorted({k for own, _ in halves for k in own}))
-    (a_own, a_counts), (b_own, b_counts) = halves
-    counts = align_lengths(lengths, a_own, a_counts) + align_lengths(lengths, b_own, b_counts)
+    a_rows, a_ids, b_rows, b_ids = induced_halves(p)
+    (a_own, a_counts), (b_own, b_counts) = cycle_counts(a_rows), cycle_counts(b_rows)
+    lengths = tuple(sorted(set(a_own) | set(b_own)))
+    counts = align_lengths(lengths, a_own, a_counts)[a_ids]
+    counts += align_lengths(lengths, b_own, b_counts)[b_ids]
     counts.flags.writeable = False
     return lengths, counts
 

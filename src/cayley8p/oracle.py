@@ -9,17 +9,16 @@ the maximal subgroups by brute force, and a mask is connected iff it lies
 inside none of them); the circulant count comes from a direct orbit scan
 over subsets of the cyclic group of order 2p.
 
-Exhaustive sweeps run once per p, in two levels.  Every
-automorphism maps the odd-power classes B (2p..4p-1, the high bits of a
-mask) onto themselves, because <a, b^2> is the only subgroup of index
-2.  So the least mask of an orbit is its least B-part b followed by the
-least A-part under the maps that fix b: one sweep of the 2^{2p} B-masks,
-then one sweep of the 2^{2p} A-masks per distinct stabilizer.  The
-representatives are kept and both the orbit count and the census read
-them.  They are capped at p <= 5 by default; pass a larger cap explicitly
-to run p = 7 (2111232 representatives).  No cap goes past p = 7: the
-representatives are held as one int64 mask per orbit, and p = 11 has at
-least 2^44/440, about 4.0e10, orbits.
+Exhaustive sweeps run once per p, in two levels.  Every automorphism
+keeps the A block and the B block (see domain.induced_halves), and the
+B classes are the high bits of a mask.  So the least mask of an orbit is
+its least B-part b followed by the least A-part under the maps that fix
+b: one sweep of the 2^{2p} B-masks, then one sweep of the 2^{2p} A-masks
+per distinct stabilizer.  The representatives are kept and both the
+orbit count and the census read them.  They are capped at p <= 5 by
+default; pass a larger cap explicitly to run p = 7 (2111232
+representatives).  No cap goes past p = 7: they are held as one int64
+mask per orbit, and p = 11 has at least 2^44/440, about 4.0e10, orbits.
 """
 
 import os
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, build_domain, cycle_types, distinct_rows, induced_permutations
+from .domain import Domain, build_domain, cycle_types, distinct_rows, induced_halves
 from .group import mul_table
 from .kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
@@ -40,11 +39,11 @@ def check_cap(p: int, cap: int) -> None:
     check_odd_prime(p)
     if p > _HELD_REPS_MAX_P:
         aut_order = 4 * p * (p - 1)
-        orbits = (1 << 4 * p) / aut_order
+        bits = 4 * p - aut_order.bit_length()  # in integers: a float overflows from p = 263
         raise ValueError(
             f"exhaustive oracles need p <= {_HELD_REPS_MAX_P}: they hold one int64 mask "
-            f"per orbit, and p={p} has at least 2^{4 * p}/{aut_order}, about {orbits:.1e}, "
-            f"orbits ({orbits * 8 / 2**30:,.0f} GiB)"
+            f"per orbit, and p={p} has at least 2^{4 * p}/{aut_order}, more than 2^{bits}, "
+            f"orbits (more than 2^{bits - 27} GiB)"
         )
     if p > cap:
         raise ValueError(
@@ -96,13 +95,13 @@ def orbit_representatives(
         raise ValueError(f"workers must be at least 1, got {workers}")
     check_cap(p, cap)
     if p not in _reps_cache:
-        reps = _two_level_sweep(induced_permutations(p))
+        reps = _two_level_sweep(*induced_halves(p))
         reps.flags.writeable = False
         _reps_cache[p] = reps
     return _reps_cache[p]
 
 
-def _two_level_sweep(perms) -> np.ndarray:
+def _two_level_sweep(a_rows, a_ids, b_rows, b_ids) -> np.ndarray:
     """Orbit-minimal masks, ascending: the least B-parts, then the least A-parts
     under each one's stabilizer.
 
@@ -113,24 +112,18 @@ def _two_level_sweep(perms) -> np.ndarray:
     `distinct_rows` groups the B-representatives by that set and each set
     is swept once per call.
     """
-    perms = np.asarray(perms, dtype=np.int64)
-    half = perms.shape[1] // 2
-    a_rows, b_rows = perms[:, :half], perms[:, half:] - half
-    if (a_rows >= half).any() or (b_rows < 0).any():
-        raise ArithmeticError("an automorphism sends a class across the A and B blocks")
-    b_distinct, b_ids = distinct_rows(b_rows)
-    b_reps = sweep_minimal_masks(b_distinct)
-    tlo, thi, lo_bits, lo_mask = bit_tables(b_distinct)
+    b_reps = sweep_minimal_masks(b_rows)
+    tlo, thi, lo_bits, lo_mask = bit_tables(b_rows)
     images = (tlo[:, b_reps & lo_mask] | thi[:, b_reps >> lo_bits]).T
     # whether each map fixes each B-representative, read off its distinct B-row
     fixes = (images == b_reps[:, None])[:, b_ids]
-    # distinct A-rows by first occurrence, and which of them each stabilizer holds
-    distinct, a_ids = distinct_rows(a_rows)
-    holds = np.zeros((len(b_reps), len(distinct)), dtype=bool)
+    # which distinct A-rows each stabilizer holds
+    holds = np.zeros((len(b_reps), len(a_rows)), dtype=bool)
     rep, fixing = np.nonzero(fixes)
     holds[rep, a_ids[fixing]] = True
     row_sets, set_ids = distinct_rows(holds)
-    a_reps = [sweep_minimal_masks(distinct[row_set]) for row_set in row_sets]
+    a_reps = [sweep_minimal_masks(a_rows[row_set]) for row_set in row_sets]
+    half = a_rows.shape[1]
     return np.concatenate([b << half | a_reps[i] for b, i in zip(b_reps.tolist(), set_ids)])
 
 

@@ -234,7 +234,14 @@ def _refuse_quick_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quick verification started before the refusal")
 
-    for original in (enumerate_aut, aut_blocks, polya.count_report, domain.induced_permutations):
+    quick_work = (
+        enumerate_aut,
+        aut_blocks,
+        polya.count_report,
+        domain.induced_halves,
+        domain.induced_permutations,
+    )
+    for original in quick_work:
         _patch_every_binding(monkeypatch, original, refuse)
 
 
@@ -259,6 +266,7 @@ def test_verify_refuses_a_p_beyond_half_of_the_memory_it_reads(capsys, monkeypat
     assert captured.out == ""
     assert "error: p=31 needs 1.8 MiB" in captured.err
     assert "half of the 3.0 MiB of physical memory" in captured.err
+    domain.induced_halves.cache_clear()
     domain.induced_permutations.cache_clear()
     with pytest.raises(ValueError, match="p=31 needs 1.8 MiB"):
         domain.induced_permutations(31)
@@ -270,6 +278,18 @@ def test_verify_full_checks_the_oracle_cap_before_quick_work(capsys, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "need p <= 7" in captured.err
+
+
+def test_verify_full_refuses_a_p_whose_orbit_bound_overflows_a_float(capsys, monkeypatch):
+    """2^1052/275624 orbits at p = 263: the refusal is worded in integers."""
+    _refuse_quick_work(monkeypatch)
+    # 1 TiB of memory, so that the permutation arrays of p = 263 pass and the cap refuses
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 28}.get)
+    assert main(["verify", "--p", "263", "--level", "full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need p <= 7" in captured.err
+    assert "p=263 has at least 2^1052/275624, more than 2^1033, orbits" in captured.err
 
 
 def test_verify_rejects_csv_format():
@@ -526,7 +546,8 @@ def test_verify_never_decomposes_one_permutation_at_a_time(monkeypatch):
         raise AssertionError("cycle_type_of called on the verify path")
 
     _patch_every_binding(monkeypatch, domain.cycle_type_of, refuse)
-    for cached in (domain.induced_permutations, domain.cycle_types, cycle_index_bruteforce):
+    caches = (domain.induced_halves, domain.induced_permutations, domain.cycle_types)
+    for cached in caches + (cycle_index_bruteforce,):
         cached.cache_clear()
     report = build_verification_report(31, "quick")
     assert not report.failed
@@ -541,7 +562,8 @@ def test_verify_never_enumerates_automorphism_objects(monkeypatch):
         raise AssertionError("enumerate_aut called on the verify path")
 
     _patch_every_binding(monkeypatch, enumerate_aut, refuse)
-    for cached in (domain.induced_permutations, domain.cycle_types, domain.closed_form_cycle_types):
+    caches = (domain.induced_halves, domain.induced_permutations, domain.cycle_types)
+    for cached in caches + (domain.closed_form_cycle_types,):
         cached.cache_clear()
     report = build_verification_report(31, "quick")
     assert not report.failed
@@ -564,3 +586,23 @@ def test_verify_runs_the_closed_form_case_analysis_once_per_case(monkeypatch):
     # 4p(p-1-m) mismatches, m = 15 the odd part of p - 1 (acceptance criterion 4)
     details = {c.name: c.details for c in report.checks}
     assert details["cycle_types_closed_vs_brute"] == "1860 mismatches over 3720 automorphisms"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--p", "31"], ["verify", "--p", "5", "--level", "full"], ["cycle-index", "--p", "31"]],
+)
+def test_genuine_counts_never_build_the_whole_permutation_array(argv, capsys, monkeypatch):
+    """Cycle types, Burnside and the sweep read the half-rows; the assembled
+    4p-wide array is not built on the way to any genuine number."""
+
+    def refuse(p):
+        raise AssertionError("induced_permutations called on the way to a genuine number")
+
+    _patch_every_binding(monkeypatch, domain.induced_permutations, refuse)
+    for cached in (domain.induced_halves, domain.cycle_types, cycle_index_bruteforce):
+        cached.cache_clear()
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    assert main(argv) == 0
+    assert capsys.readouterr().out

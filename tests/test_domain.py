@@ -19,6 +19,7 @@ from cayley8p.domain import (
     KIND_A2,
     KIND_AP,
     KIND_B,
+    Domain,
     _induced_blocks,
     a2_labels,
     build_domain,
@@ -28,6 +29,7 @@ from cayley8p.domain import (
     cycle_type_of,
     cycle_types,
     distinct_rows,
+    induced_halves,
     induced_permutation,
     induced_permutations,
     render_cycle_type,
@@ -102,15 +104,44 @@ def test_induced_permutations_match_the_reference_path():
         ]
 
 
+def test_induced_halves_match_the_reference_path():
+    """The distinct half-rows and each map's ids give back induced_permutation
+    map by map, split at 2p with the B-half shifted down by 2p."""
+    for p in PRIMES:
+        d = build_domain(p)
+        reference = np.array([induced_permutation(f, d) for f in enumerate_aut(p)])
+        a_rows, a_ids, b_rows, b_ids = induced_halves(p)
+        a_want, b_want = reference[:, : 2 * p], reference[:, 2 * p :] - 2 * p
+        for rows, ids, want in ((a_rows, a_ids, a_want), (b_rows, b_ids, b_want)):
+            assert np.array_equal(rows[ids], want)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert rows.dtype == np.int16 and ids.dtype == np.intp
+        for array in (a_rows, a_ids, b_rows, b_ids):
+            assert not array.flags.writeable
+
+
 def test_induced_blocks_reject_broken_maps():
     """alpha = 2 is no unit mod 6: it splits the classes {a^l b^2, a^{p-l} b^2};
     alpha = 3 keeps every class whole but sends {a, a^5} and {a^3} to {a^3}."""
     d = build_domain(3)
     for family in (SIGMA, TAU):
         with pytest.raises(ArithmeticError, match="splits class"):
-            next(_induced_blocks(d, [(family, 2)]))
+            _induced_blocks(d, [(family, 2)])
         with pytest.raises(ArithmeticError, match="does not act bijectively"):
-            next(_induced_blocks(d, [(family, 3)]))
+            _induced_blocks(d, [(family, 3)])
+
+
+def test_induced_blocks_refuse_a_class_sent_across_the_blocks():
+    """With a^p, the singleton A class 2p-1, relabelled into the B class 2p,
+    every map sends an A class into the B block."""
+    for p in (3, 5):
+        d = build_domain(p)
+        class_of = list(d.class_of_element)
+        class_of[class_of.index(2 * p - 1)] = 2 * p
+        crossed = Domain(p, d.classes, tuple(class_of))
+        for family in (SIGMA, TAU):
+            with pytest.raises(ArithmeticError, match=rf"{family}\(1,0\) does not act bijectively"):
+                _induced_blocks(crossed, [(family, 1)])
 
 
 def test_induced_action_examples():
@@ -205,22 +236,6 @@ def test_half_row_cycle_types_equal_whole_row_counts(p):
     assert np.array_equal(counts, whole)
     assert counts.dtype == whole.dtype == np.int16
     assert not counts.flags.writeable
-
-
-def test_a_map_across_the_blocks_is_refused_before_any_counting(monkeypatch):
-    perms = induced_permutations(3).copy()
-    perms[1, [0, 6]] = perms[1, [6, 0]]  # one A<->B column swap in one row
-    counted = []
-
-    def spy(rows):
-        counted.append(len(rows))
-        return cycle_counts(rows)
-
-    monkeypatch.setattr("cayley8p.domain.induced_permutations", lambda p: perms)
-    monkeypatch.setattr("cayley8p.domain.cycle_counts", spy)
-    with pytest.raises(ArithmeticError, match="across the A and B blocks"):
-        cycle_types.__wrapped__(3)
-    assert counted == []
 
 
 @st.composite

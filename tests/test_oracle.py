@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import independent_model as im
 from cayley8p import oracle
-from cayley8p.domain import KIND_A2, KIND_AP, KIND_B, build_domain, induced_permutations
+from cayley8p.domain import (
+    KIND_A2,
+    KIND_AP,
+    KIND_B,
+    build_domain,
+    distinct_rows,
+    induced_permutations,
+)
 from cayley8p.group import GroupElement, element_index
 from cayley8p.kernels import apply_perm_to_mask, sweep_minimal_count, sweep_minimal_masks
 from cayley8p.oracle import (
@@ -92,6 +99,14 @@ def test_p_beyond_the_bitset_limit_is_refused_before_any_sweep(monkeypatch):
     assert swept == []
 
 
+@pytest.mark.parametrize("p", [263, 401, 3571])
+def test_cap_refusal_is_worded_in_integers(p):
+    """2^{4p}/|Aut| is too large for a float from p = 263 on."""
+    bound = rf"p={p} has at least 2\^{4 * p}/{4 * p * (p - 1)}, more than 2\^\d+, orbits"
+    with pytest.raises(ValueError, match=rf"need p <= 7: .*{bound}"):
+        oracle.check_cap(p, 5)
+
+
 def test_representatives_are_swept_once_per_p(monkeypatch):
     calls = []
     original = oracle.sweep_minimal_masks
@@ -153,18 +168,6 @@ def test_p7_sweep_equals_burnside(monkeypatch):
     assert orbit_partition_count(7, cap=7) == burnside_count(7) == 2111232
 
 
-def test_a_map_across_the_blocks_is_refused_before_any_sweep(monkeypatch):
-    perms = np.array(induced_permutations(5))
-    perms[1, [0, 10]] = perms[1, [10, 0]]  # class 0 now goes into B, class 10 into A
-    swept = []
-    monkeypatch.setattr(oracle, "_reps_cache", {})
-    monkeypatch.setattr(oracle, "induced_permutations", lambda p: perms)
-    monkeypatch.setattr(oracle, "sweep_minimal_masks", lambda *a, **k: swept.append(a))
-    with pytest.raises(ArithmeticError, match="across the A and B blocks"):
-        orbit_representatives(5)
-    assert swept == []
-
-
 def test_each_distinct_stabilizer_is_swept_once(monkeypatch):
     """One B-sweep, then one A-sweep per distinct set of stabilizer A-rows,
     counted here from the B-parts of the representatives by scalar images."""
@@ -197,7 +200,8 @@ def test_stabilizers_of_equal_size_are_swept_apart():
     e, x, y = range(4), [1, 0, 2, 3], [0, 1, 3, 2]
     group = [(e, e), (x, x), (y, y), ([x[i] for i in y], [x[i] for i in y])]
     rows = np.array([list(a) + [4 + t for t in b] for a, b in group])
-    reps = oracle._two_level_sweep(rows)
+    halves = [distinct_rows(np.array(half)) for half in zip(*group)]
+    reps = oracle._two_level_sweep(*halves[0], *halves[1])
     assert reps.tolist() == sweep_minimal_masks(rows).tolist()
 
 
