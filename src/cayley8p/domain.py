@@ -138,7 +138,8 @@ def _induced_blocks(d: Domain, blocks) -> tuple[np.ndarray, np.ndarray]:
     map, a whole block in one numpy pass.  A row is a bijection that keeps
     the blocks exactly when its A-half and its shifted B-half each permute
     0 .. 2p-1.  A straddled class or a repeated image raises exactly as in
-    induced_permutation, for the first beta that shows it.
+    induced_permutation, and a class sent into the other block raises as
+    crossing the blocks, each for the first beta that shows it.
     """
     p, n = d.p, 2 * d.p
     members = [sorted((g.k, g.l) for g in c.members) for c in d.classes]
@@ -165,6 +166,14 @@ def _induced_blocks(d: Domain, blocks) -> tuple[np.ndarray, np.ndarray]:
             b, c = (0, a_split.argmax()) if a_split.any() else np.argwhere(b_split)[0] + (0, n)
             raise ArithmeticError(
                 f"{family}({alpha},{b}) splits class {d.classes[c].rep} across two classes"
+            )
+        a_crosses = (a_half >= n).any()
+        b_crosses = (b_half < 0).any(axis=1)
+        if a_crosses or b_crosses.any():
+            # an A class crosses under every beta
+            raise ArithmeticError(
+                f"{family}({alpha},{0 if a_crosses else b_crosses.argmax()}) "
+                "sends a class across the A and B blocks"
             )
         a_repeats = (np.sort(a_half) != np.arange(n)).any()
         b_repeats = (np.sort(b_half, axis=1) != np.arange(n)).any(axis=1)

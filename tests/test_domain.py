@@ -140,7 +140,9 @@ def test_induced_blocks_refuse_a_class_sent_across_the_blocks():
         class_of[class_of.index(2 * p - 1)] = 2 * p
         crossed = Domain(p, d.classes, tuple(class_of))
         for family in (SIGMA, TAU):
-            with pytest.raises(ArithmeticError, match=rf"{family}\(1,0\) does not act bijectively"):
+            with pytest.raises(
+                ArithmeticError, match=rf"{family}\(1,0\) sends a class across the A and B blocks"
+            ):
                 _induced_blocks(crossed, [(family, 1)])
 
 
@@ -236,6 +238,25 @@ def test_half_row_cycle_types_equal_whole_row_counts(p):
     assert np.array_equal(counts, whole)
     assert counts.dtype == whole.dtype == np.int16
     assert not counts.flags.writeable
+
+
+def test_a_map_across_the_blocks_is_refused_before_any_counting(monkeypatch):
+    d = build_domain(3)
+    class_of = list(d.class_of_element)
+    class_of[class_of.index(5)] = 6  # a^3, the singleton A class, relabelled into B
+    counted = []
+
+    def spy(rows):
+        counted.append(len(rows))
+        return cycle_counts(rows)
+
+    crossed = Domain(3, d.classes, tuple(class_of))
+    monkeypatch.setattr("cayley8p.domain.build_domain", lambda p: crossed)
+    monkeypatch.setattr("cayley8p.domain.induced_halves", induced_halves.__wrapped__)
+    monkeypatch.setattr("cayley8p.domain.cycle_counts", spy)
+    with pytest.raises(ArithmeticError, match="across the A and B blocks"):
+        cycle_types.__wrapped__(3)
+    assert counted == []
 
 
 @st.composite

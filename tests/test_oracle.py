@@ -21,8 +21,10 @@ from cayley8p.domain import (
     KIND_A2,
     KIND_AP,
     KIND_B,
+    Domain,
     build_domain,
     distinct_rows,
+    induced_halves,
     induced_permutations,
 )
 from cayley8p.group import GroupElement, element_index
@@ -166,6 +168,21 @@ def test_representatives_equal_the_flat_sweep(p, monkeypatch):
 def test_p7_sweep_equals_burnside(monkeypatch):
     monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
     assert orbit_partition_count(7, cap=7) == burnside_count(7) == 2111232
+
+
+def test_a_map_across_the_blocks_is_refused_before_any_sweep(monkeypatch):
+    d = build_domain(5)
+    class_of = list(d.class_of_element)
+    class_of[class_of.index(9)] = 10  # a^5, the singleton A class, relabelled into B
+    swept = []
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    crossed = Domain(5, d.classes, tuple(class_of))
+    monkeypatch.setattr("cayley8p.domain.build_domain", lambda p: crossed)
+    monkeypatch.setattr(oracle, "induced_halves", induced_halves.__wrapped__)
+    monkeypatch.setattr(oracle, "sweep_minimal_masks", lambda *a, **k: swept.append(a))
+    with pytest.raises(ArithmeticError, match="across the A and B blocks"):
+        orbit_representatives(5)
+    assert swept == []
 
 
 def test_each_distinct_stabilizer_is_swept_once(monkeypatch):
