@@ -16,7 +16,7 @@ Exit status: 0 success, 1 internal inconsistency or failed verification,
 
 This module only parses arguments and renders output: counts come from
 polya, verify's checks and claimed-vs-genuine records from cayley8p.verify.
-cycle-types reads the closed-form cycle types as one int16 row per case
+cycle-types reads the closed-form cycle types as one monomial per case
 and each map's case (domain.closed_form_cycle_types), renders each case
 once and prints one run of 2p records (autos.aut_blocks) at a time, so
 its memory does not grow with the output.
@@ -235,8 +235,8 @@ def cmd_cycle_types(args) -> int:
     json.dumps(records, indent=2).  A record is its run's label, beta and its
     case's rendering; each case is rendered once, each run printed at once."""
     p = check_odd_prime(args.p)
-    lengths, rows, case = closed_form_cycle_types(p)
-    types = [{k: c for k, c in zip(lengths, row) if c} for row in rows.tolist()]
+    monomials, case = closed_form_cycle_types(p)
+    types = [dict(t) for t in monomials]
     if args.format == "json":
         # a cycle type sits two levels deep in the list of records
         label = '  {{\n    "family": "{}",\n    "alpha": {},\n    "beta": '

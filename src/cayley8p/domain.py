@@ -13,16 +13,19 @@ Automorphisms permute these classes.  induced_halves(p) holds the action
 of all 4p(p-1) maps as distinct A- and B-half-rows, and each map's row
 among them: at p = 31 the 3720 maps have 30 distinct A-halves and 1860
 distinct B-halves.  cycle_types(p) counts the cycles of each distinct
-half-row once, in numpy, by pointer jumping (cycle_counts), and adds the
-two halves map by map.  Burnside, the brute-force cycle index, the verify
-check and the orbit sweep read the halves; induced_permutations(p)
-assembles whole rows for other callers.  cycle_type_of decomposes one
-permutation in Python and stays as the scalar reference.
+half-row once, in numpy, by pointer jumping (cycle_counts), and joins the
+two halves' types once per distinct pair of them.  Burnside, the
+brute-force cycle index, the verify check and the orbit sweep read the
+halves; induced_permutations(p) assembles whole rows for other callers.
+cycle_type_of decomposes one permutation in Python and stays as the
+scalar reference.
 
-The closed-form side has the same layout, stored once per case:
-closed_form_cycle_types(p) runs the scalar closed_form_cycle_type on each
-of the 4p cases and keeps one int16 row per case and each map's case; the
-verify check compares rows[case], and cycle-types renders each case once.
+A cycle type is its cycle-index monomial x_1^e1 x_2^e2 ... (a Monomial,
+canonical as monomial() makes it), and every producer of cycle types
+returns (types, ids): monomials, not necessarily distinct, and each map's
+index into them.  closed_form_cycle_types(p) keeps one monomial per case
+of the scalar closed_form_cycle_type and each map's case; the verify check
+compares the sides once per distinct (genuine type, case) pair.
 
 The decomposition is the ground truth; the closed-form case analysis
 (closed_form_cycle_type) is compared with it, not assumed equal: it
@@ -34,13 +37,12 @@ some cycle lengths.
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from .autos import SIGMA, Automorphism, aut_blocks, apply
 from .group import GroupElement, element_index, inv
-from .modular import check_odd_prime, discrete_log, primitive_root_2p
+from .modular import check_odd_prime, mult_order
 
 KIND_A1 = "A1"
 KIND_A2 = "A2"
@@ -48,6 +50,18 @@ KIND_AP = "Ap"
 KIND_B = "B"
 
 _INT16_MAX = np.iinfo(np.int16).max
+
+# a monomial is a tuple of (variable index, exponent) pairs, ascending by index
+Monomial = tuple[tuple[int, int], ...]
+
+
+def monomial(*pairs: tuple[int, int]) -> Monomial:
+    """Canonicalize (index, exponent) pairs: merge repeats, drop zeros, sort."""
+    merged: dict[int, int] = {}
+    for k, e in pairs:
+        if e:
+            merged[k] = merged.get(k, 0) + e
+    return tuple(sorted(merged.items()))
 
 
 @dataclass(frozen=True)
@@ -194,11 +208,13 @@ def _check_int16_classes(p: int) -> None:
 
 
 def check_array_memory(p: int) -> None:
-    """Refuse a p whose int16 permutation array, 4p(p-1) by 4p, would take
-    more than a quarter of physical memory.  No genuine count builds that
-    array: induced_halves and cycle_types peak at 1.3 times its size at
-    p = 101 (tracemalloc), and induced_permutations, which assembles it from
-    the halves, at 1.8 times, so both stay under half."""
+    """Refuse a p with more classes than an int16 index holds, then a p
+    whose int16 permutation array, 4p(p-1) by 4p, would take more than a
+    quarter of physical memory.  No genuine count builds that array:
+    induced_halves and cycle_types peak at 1.3 times its size at p = 101
+    (tracemalloc), and induced_permutations, which assembles it from the
+    halves, at 1.8 times, so both stay under half."""
+    _check_int16_classes(p)
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > memory // 2:
@@ -215,14 +231,14 @@ def induced_halves(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     Every automorphism maps <a, b^2>, the only subgroup of index 2, onto
     itself, so it keeps the A block (classes 0 .. 2p-1, the even powers of
     b) and the B block (2p .. 4p-1, the odd powers): its induced permutation
-    is an A-half beside a B-half, and its cycle type is the sum of theirs.
+    is an A-half beside a B-half, and its cycle type is the product of
+    theirs as monomials.
     _induced_blocks refuses a map that crosses the blocks.  Returns (a_rows,
     a_ids, b_rows, b_ids): the distinct halves, B shifted down by 2p, in
     order of first occurrence, as read-only int16 arrays; and each map's
     row among them, in enumerate_aut order, as read-only intp arrays.
     """
     check_odd_prime(p)
-    _check_int16_classes(p)
     check_array_memory(p)
     a_halves, b_halves = _induced_blocks(build_domain(p), aut_blocks(p))
     a_rows, block_ids = distinct_rows(a_halves)
@@ -252,22 +268,21 @@ def induced_permutations(p: int) -> np.ndarray:
 _CYCLE_CHUNK = 256  # rows per pointer-jumping pass
 
 
-def cycle_counts(perms) -> tuple[tuple[int, ...], np.ndarray]:
+def cycle_counts(perms) -> tuple[tuple[Monomial, ...], np.ndarray]:
     """Cycle types of the rows of a permutation array, by pointer jumping.
 
-    Returns (lengths, counts): the cycle lengths that occur in some row,
-    ascending, and a read-only int16 array of shape (rows, len(lengths))
-    with counts[i, j] cycles of length lengths[j] in row i.  Each point
-    finds the least point of its cycle in (n-1).bit_length() rounds of
-    M = min(M, M[J]); J = J[J]; the points that are their own least point
-    lead one cycle each, and the cycle sizes are the numbers of points per
-    leader.
+    Returns (types, ids): the distinct cycle types of the rows as
+    monomials, in order of first occurrence, and a read-only intp array
+    with types[ids[i]] the type of row i.  Each point finds the least point
+    of its cycle in (n-1).bit_length() rounds of M = min(M, M[J]); J = J[J];
+    the points that are their own least point lead one cycle each, and the
+    cycle sizes are the numbers of points per leader.
     """
     perms = np.asarray(perms)
     rows, n = perms.shape
     if n > _INT16_MAX:
         raise ValueError(f"{n} points per row: a cycle count must fit in int16")
-    counts = np.zeros((rows, n + 1), dtype=np.int16)
+    counts = np.zeros((rows, n), dtype=np.int16)  # counts[i, k - 1]: k-cycles of row i
     for lo in range(0, rows, _CYCLE_CHUNK):
         chunk = perms[lo : lo + _CYCLE_CHUNK]
         r = len(chunk)
@@ -281,12 +296,12 @@ def cycle_counts(perms) -> tuple[tuple[int, ...], np.ndarray]:
         leaders = np.flatnonzero(least == flat)
         sizes = np.bincount(least, minlength=r * n)[leaders]
         counts[lo : lo + r] = np.bincount(
-            leaders // n * (n + 1) + sizes, minlength=r * (n + 1)
-        ).reshape(r, n + 1)
-    occurring = np.flatnonzero(counts.any(axis=0))
-    compact = counts[:, occurring]
-    compact.flags.writeable = False
-    return tuple(occurring.tolist()), compact
+            leaders // n * n + sizes - 1, minlength=r * n
+        ).reshape(r, n)
+    distinct, ids = distinct_rows(counts)
+    ids.flags.writeable = False
+    types = tuple(tuple((k, c) for k, c in enumerate(row, 1) if c) for row in distinct.tolist())
+    return types, ids
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,6 +314,8 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.asarray(rows)
     n_rows, width = rows.shape
+    if not width:  # all rows equal, and a zero-size void dtype has no view
+        return rows[:1], np.zeros(n_rows, dtype=np.intp)
     if rows.strides[1] != rows.itemsize:  # the view needs each row's items adjacent
         rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0]
@@ -314,28 +331,21 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[np.sort(first)], ids
 
 
-def align_lengths(lengths, own, counts: np.ndarray) -> np.ndarray:
-    """Count rows over the cycle lengths own, spread onto the columns of
-    lengths, a sorted superset of own; a length a row lacks counts 0."""
-    aligned = np.zeros((len(counts), len(lengths)), dtype=np.int16)
-    aligned[:, np.searchsorted(lengths, own)] = counts
-    return aligned
-
-
 @lru_cache(maxsize=None)
-def cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """cycle_counts of induced_permutations(p): one row per map, enumeration order.
+def cycle_types(p: int) -> tuple[tuple[Monomial, ...], np.ndarray]:
+    """cycle_counts of induced_permutations(p), but types need not be distinct.
 
-    A map's type is the sum of its halves' types (see induced_halves), so
-    each distinct half-row is counted once and every map adds its two rows.
+    A map's type is the product of its halves' types (see induced_halves):
+    each distinct half-row is counted once, and each distinct pair of an
+    A-type and a B-type multiplied out once.
     """
     a_rows, a_ids, b_rows, b_ids = induced_halves(p)
-    (a_own, a_counts), (b_own, b_counts) = cycle_counts(a_rows), cycle_counts(b_rows)
-    lengths = tuple(sorted(set(a_own) | set(b_own)))
-    counts = align_lengths(lengths, a_own, a_counts)[a_ids]
-    counts += align_lengths(lengths, b_own, b_counts)[b_ids]
-    counts.flags.writeable = False
-    return lengths, counts
+    (a_types, a_tid), (b_types, b_tid) = cycle_counts(a_rows), cycle_counts(b_rows)
+    n_b = len(b_types)
+    pairs, ids = np.unique(a_tid[a_ids] * n_b + b_tid[b_ids], return_inverse=True)
+    types = tuple(monomial(*a_types[k // n_b], *b_types[k % n_b]) for k in pairs.tolist())
+    ids.flags.writeable = False
+    return types, ids
 
 
 def cycle_type_of(perm: tuple[int, ...]) -> dict[int, int]:
@@ -365,8 +375,8 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
 
     Cases split on the unit parameter (1 vs not) and, for non-unit 1, on
     the parity of the shift parameter; orbit lengths on the b-block come
-    from the order o of the unit in the cyclic unit group via its index
-    at the smallest primitive root z: g = gcd(index, p-1), o = (p-1)/g.
+    from the order o of the unit in the cyclic unit group of order p-1,
+    and g = (p-1)/o.
 
     Known deviation from the genuine action: the case analysis assumes
     every a-power class orbit under multiplication by the unit has full
@@ -401,9 +411,8 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
                 _add(counts, 2 * p, 1)
         return counts
 
-    z = primitive_root_2p(p)
-    g = gcd(discrete_log(z, f.alpha, p), p - 1)
-    o = (p - 1) // g
+    o = mult_order(f.alpha, 2 * p)
+    g = (p - 1) // o
     even_shift = f.beta % 2 == 0
     if f.family == SIGMA:
         if even_shift:
@@ -437,16 +446,15 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def closed_form_cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """closed_form_cycle_type of every enumerated map, one row per case.
+def closed_form_cycle_types(p: int) -> tuple[tuple[Monomial, ...], np.ndarray]:
+    """closed_form_cycle_type of every enumerated map, one monomial per case.
 
     The case analysis reads beta only through which of {0, p, other even,
     other odd} it is, and for alpha != 1 only through its parity, so the
     4p(p-1) maps fall into 4p cases and it runs once per case on a
-    representative map.  Returns (lengths, rows, case): the cycle lengths
-    that occur, ascending; a read-only int16 array with one row per case,
-    laid out as cycle_types(p); and a read-only int16 array giving each
-    map's row, in enumerate_aut order.  rows[case] is the per-map array.
+    representative map.  Returns (types, case) laid out as cycle_types(p):
+    one monomial per case, and a read-only int16 array giving each map's
+    case, in enumerate_aut order.
     """
     check_odd_prime(p)
     _check_int16_classes(p)  # case numbers are below 4p
@@ -459,12 +467,11 @@ def closed_form_cycle_types(p: int) -> tuple[tuple[int, ...], np.ndarray, np.nda
     for family, alpha in aut_blocks(p):
         reps, pick = ((2, 1, 0, p), special) if alpha == 1 else ((0, 1), parity)
         picks.append(pick + len(types))
-        types += [closed_form_cycle_type(Automorphism(p, family, alpha, b)) for b in reps]
-    lengths = tuple(sorted({k for t in types for k in t}))
-    rows = np.array([[t.get(k, 0) for k in lengths] for t in types], dtype=np.int16)
+        maps = [Automorphism(p, family, alpha, b) for b in reps]
+        types += [monomial(*closed_form_cycle_type(f).items()) for f in maps]
     case = np.concatenate(picks)
-    rows.flags.writeable = case.flags.writeable = False
-    return lengths, rows, case
+    case.flags.writeable = False
+    return tuple(types), case
 
 
 def render_cycle_type(counts: dict[int, int]) -> str:

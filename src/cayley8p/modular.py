@@ -4,16 +4,18 @@ Everything here is plain integer arithmetic: totients, divisor lists,
 multiplicative orders, the smallest primitive root of Z_{2p}^*, discrete
 logarithms with respect to it, and the unique-unit solver for
 x - alpha*x = t (mod 2p).  p is always validated as an odd prime by
-trial division; these routines are meant for desk-scale p.  euler_phi
-and divisors are cached, because each closed-form count asks for the
-same divisors of p - 1 and their totients; divisors returns a tuple, so
-no caller can change a cached result.
+trial division; these routines are meant for desk-scale p.  is_odd_prime,
+euler_phi and divisors are cached, because every entry point validates
+the same p and each closed-form count asks for the same divisors of
+p - 1 and their totients; divisors returns a tuple, so no caller can
+change a cached result.
 """
 
 from functools import lru_cache
 from math import gcd
 
 
+@lru_cache(maxsize=None)
 def is_odd_prime(n: int) -> bool:
     if n < 3 or n % 2 == 0:
         return False

@@ -61,14 +61,15 @@ def _check_mask(p: int, mask: int, shown=None) -> None:
 def burnside_count(p: int) -> int:
     """Orbit count as the average number of fixed connection sets.
 
-    A permutation with c cycles fixes exactly 2^c subsets, so the count
-    is (1/|Aut|) * sum of N_c 2^c over the cycle counts c, with N_c the
-    number of induced permutations that have c cycles, using brute-force
-    cycle decomposition only.
+    A permutation with c cycles fixes exactly 2^c subsets, c the sum of
+    the exponents of its cycle type, so the count is (1/|Aut|) * the sum
+    of 2^c over the maps, using brute-force cycle decomposition only: each
+    type adds its number of maps shifted by its c once.
     """
     check_odd_prime(p)
-    maps_with = np.bincount(cycle_types(p)[1].sum(axis=1))
-    total = sum(n << c for c, n in enumerate(maps_with.tolist()))
+    types, ids = cycle_types(p)
+    maps_with = np.bincount(ids).tolist()
+    total = sum(n << sum(e for _, e in t) for t, n in zip(types, maps_with))
     aut_order = 4 * p * (p - 1)
     if total % aut_order:
         raise ArithmeticError(f"Burnside sum {total} not divisible by {aut_order}")

@@ -31,20 +31,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .domain import cycle_types, distinct_rows
+from .domain import Monomial, cycle_types, monomial
 from .modular import check_odd_prime, divisors, euler_phi
-
-# a monomial is a tuple of (variable index, exponent) pairs, ascending by index
-Monomial = tuple[tuple[int, int], ...]
-
-
-def monomial(*pairs: tuple[int, int]) -> Monomial:
-    """Canonicalize (index, exponent) pairs: merge repeats, drop zeros, sort."""
-    merged: dict[int, int] = {}
-    for k, e in pairs:
-        if e:
-            merged[k] = merged.get(k, 0) + e
-    return tuple(sorted(merged.items()))
 
 
 def monomial_from_cycle_type(counts: dict[int, int]) -> Monomial:
@@ -122,16 +110,14 @@ def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
 def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
     """Average the monomials of the decomposed induced permutations.
 
-    Maps with the same cycle type share one monomial; each distinct type
-    adds its number of maps, in units of 1/|Aut|, once.
+    A cycle type is its monomial (see domain.cycle_types): each type adds
+    its number of maps, in units of 1/|Aut|, once.
     """
     check_odd_prime(p)
-    lengths, counts = cycle_types(p)
-    distinct, ids = distinct_rows(counts)
-    weights = {
-        tuple((k, e) for k, e in zip(lengths, row) if e): maps
-        for row, maps in zip(distinct.tolist(), np.bincount(ids).tolist())
-    }
+    types, ids = cycle_types(p)
+    weights: dict[Monomial, int] = {}
+    for mono, maps in zip(types, np.bincount(ids).tolist()):
+        weights[mono] = weights.get(mono, 0) + maps
     return _validate(p, weights)
 
 

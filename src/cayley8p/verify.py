@@ -10,8 +10,10 @@ its counts.discrepancies entry from it.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle, polya
-from .domain import align_lengths, check_array_memory, closed_form_cycle_types, cycle_types
+from .domain import check_array_memory, closed_form_cycle_types, cycle_types
 from .modular import check_odd_prime
 
 
@@ -95,25 +97,24 @@ def build_verification_report(
         claimed = getattr(counts, quantity)
         checks.append(Comparison(p, quantity, claimed_route, claimed, genuine_route, genuine))
 
-    genuine_lengths, genuine = cycle_types(p)
-    claimed_lengths, claimed_rows, case = closed_form_cycle_types(p)
-    claimed = claimed_rows[case]
+    genuine, ids = cycle_types(p)
+    claimed, case = closed_form_cycle_types(p)
     add(
         "automorphism_count",
-        len(genuine) == len(claimed) == counts.aut_order,
-        f"{len(genuine)} automorphisms, expected {counts.aut_order}",
+        len(ids) == len(case) == counts.aut_order,
+        f"{len(ids)} automorphisms, expected {counts.aut_order}",
     )
 
-    # formula claim vs oracle decomposition: disagreements are reported, not fatal
-    lengths = sorted(set(genuine_lengths) | set(claimed_lengths))
-    differ = align_lengths(lengths, genuine_lengths, genuine) != align_lengths(
-        lengths, claimed_lengths, claimed
-    )
-    mismatches = int(differ.any(axis=1).sum())
+    # formula claim vs oracle decomposition: disagreements are reported, not fatal;
+    # the maps are compared once per distinct (genuine type, case) pair
+    pairs, maps = np.unique(ids * len(claimed) + case, return_counts=True)
+    type_of, case_of = np.divmod(pairs, len(claimed))
+    differ = [genuine[i] != claimed[j] for i, j in zip(type_of.tolist(), case_of.tolist())]
+    mismatches = int(maps[differ].sum())
     add(
         "cycle_types_closed_vs_brute",
         mismatches == 0,
-        f"{mismatches} mismatches over {len(genuine)} automorphisms",
+        f"{mismatches} mismatches over {len(ids)} automorphisms",
         when_bad="flagged",
     )
 

@@ -16,6 +16,7 @@ from cayley8p import domain, oracle, polya
 from cayley8p.autos import aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
+from cayley8p.modular import is_odd_prime
 from cayley8p.polya import cycle_index_bruteforce, n_total
 
 QUICK_CHECKS = [
@@ -128,6 +129,12 @@ def test_table_json_lists_the_count_objects_in_p_list_order(capsys):
     counts = [json.loads(run(capsys, "count", "--p", p, "--format", "json")[1]) for p in "53"]
     assert json.loads(out) == counts
     assert [row["p"] for row in json.loads(out)] == [5, 3]
+
+
+def test_table_tests_each_p_for_primality_once(capsys):
+    is_odd_prime.cache_clear()
+    assert main(["table", "--p-list", "3,5,7"]) == 0
+    assert is_odd_prime.cache_info().misses == 3
 
 
 def test_table_rejects_bad_token(capsys):
@@ -270,6 +277,17 @@ def test_verify_refuses_a_p_beyond_half_of_the_memory_it_reads(capsys, monkeypat
     domain.induced_permutations.cache_clear()
     with pytest.raises(ValueError, match="p=31 needs 1.8 MiB"):
         domain.induced_permutations(31)
+
+
+def test_verify_refuses_a_p_beyond_int16_as_the_other_commands_do(capsys, monkeypatch):
+    """p = 8209 is refused for its class count, as cycle-index and
+    cycle-types refuse it, before the memory its arrays would take."""
+    _refuse_quick_work(monkeypatch)
+    assert main(["verify", "--p", "8209"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: p=8209 has 32836 classes, more than an int16 index holds" in captured.err
+    assert "MiB" not in captured.err
 
 
 def test_verify_full_checks_the_oracle_cap_before_quick_work(capsys, monkeypatch):

@@ -32,6 +32,7 @@ from cayley8p.domain import (
     induced_halves,
     induced_permutation,
     induced_permutations,
+    monomial,
     render_cycle_type,
 )
 from cayley8p.group import GroupElement, all_elements, inv
@@ -187,16 +188,18 @@ def test_permutation_array_and_cycle_rows_are_read_only_int16():
     for p in PRIMES:
         perms = induced_permutations(p)
         assert perms.shape == (4 * p * (p - 1), 4 * p)
-        genuine_lengths, genuine = cycle_types(p)
-        claimed_lengths, rows, case = closed_form_cycle_types(p)
-        assert rows.shape[0] == 4 * p  # one row per case
-        assert case.shape == (4 * p * (p - 1),)
-        for lengths, counts in ((genuine_lengths, genuine), (claimed_lengths, rows[case])):
-            assert counts.shape == (4 * p * (p - 1), len(lengths))
-            assert list(lengths) == sorted(set(lengths))
-            assert counts.any(axis=0).all()  # only lengths that occur
-        for array in (perms, genuine, rows, case):
-            assert array.dtype == np.int16
+        genuine, ids = cycle_types(p)
+        claimed, case = closed_form_cycle_types(p)
+        assert len(claimed) == 4 * p  # one type per case
+        assert ids.shape == case.shape == (4 * p * (p - 1),)
+        for types, index in ((genuine, ids), (claimed, case)):
+            assert np.unique(index).tolist() == list(range(len(types)))  # only types that occur
+            for t in types:
+                assert t == monomial(*t)  # ascending lengths, positive counts
+                assert sum(k * e for k, e in t) == 4 * p
+        assert perms.dtype == case.dtype == np.int16
+        assert ids.dtype == np.intp
+        for array in (perms, ids, case):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
@@ -215,8 +218,8 @@ def test_int16_limits_are_refused_before_any_work(monkeypatch):
         cycle_counts(np.zeros((0, 1 << 15), dtype=np.int32))
 
 
-def _as_dicts(lengths, counts) -> list[dict[int, int]]:
-    return [{k: c for k, c in zip(lengths, row) if c} for row in counts.tolist()]
+def _as_dicts(types, ids) -> list[dict[int, int]]:
+    return [dict(types[i]) for i in ids.tolist()]
 
 
 def test_array_cycle_types_match_cycle_type_of():
@@ -230,14 +233,14 @@ def test_array_cycle_types_match_cycle_type_of():
 
 @pytest.mark.parametrize("p", PRIMES + (31, 37))
 def test_half_row_cycle_types_equal_whole_row_counts(p):
-    """Counting each distinct A- and B-half once and adding the halves gives
-    exactly the pointer-jumping counts of the whole rows."""
-    lengths, counts = cycle_types(p)
-    whole_lengths, whole = cycle_counts(induced_permutations(p))
-    assert lengths == whole_lengths
-    assert np.array_equal(counts, whole)
-    assert counts.dtype == whole.dtype == np.int16
-    assert not counts.flags.writeable
+    """Counting each distinct A- and B-half once and multiplying the halves'
+    types gives exactly the pointer-jumping types of the whole rows, map by map."""
+    types, ids = cycle_types(p)
+    whole_types, whole_ids = cycle_counts(induced_permutations(p))
+    assert [types[i] for i in ids.tolist()] == [whole_types[i] for i in whole_ids.tolist()]
+    assert len(set(whole_types)) == len(whole_types)
+    assert ids.dtype == whole_ids.dtype == np.intp
+    assert not ids.flags.writeable
 
 
 def test_a_map_across_the_blocks_is_refused_before_any_counting(monkeypatch):
@@ -261,10 +264,10 @@ def test_a_map_across_the_blocks_is_refused_before_any_counting(monkeypatch):
 
 @st.composite
 def int_rows(draw):
-    """A 2-D integer array of up to 40 rows and 1 to 4 columns over few
+    """A 2-D integer array of up to 40 rows and 0 to 4 columns over few
     values, so that rows repeat; sometimes in column order, so that the
     items of a row are not adjacent."""
-    width = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=0, max_value=4))
     row = st.lists(st.integers(min_value=0, max_value=2), min_size=width, max_size=width)
     rows = draw(st.lists(row, max_size=40))
     dtype = draw(st.sampled_from((np.int16, np.int64)))
@@ -286,8 +289,7 @@ def test_distinct_rows_are_the_first_occurrences(rows):
 def test_closed_form_array_matches_the_scalar_case_analysis():
     """One scalar call per case, spread over its maps, equals one call per map."""
     for p in PRIMES:
-        lengths, rows, case = closed_form_cycle_types(p)
-        assert _as_dicts(lengths, rows[case]) == [
+        assert _as_dicts(*closed_form_cycle_types(p)) == [
             closed_form_cycle_type(f) for f in enumerate_aut(p)
         ]
 
@@ -307,7 +309,15 @@ def test_cycle_counts_match_cycle_type_of_on_drawn_permutations(drawn):
     full_cycle = identity[1:] + identity[:1]
     rows = perms + [identity, full_cycle]
     array = np.array(rows, dtype=np.int16).reshape(len(rows), n)
-    assert _as_dicts(*cycle_counts(array)) == [cycle_type_of(tuple(r)) for r in rows]
+    types, ids = cycle_counts(array)
+    assert _as_dicts(types, ids) == [cycle_type_of(tuple(r)) for r in rows]
+    # distinct, in order of first occurrence, canonical, of weighted degree n
+    assert types == tuple(dict.fromkeys(types[i] for i in ids.tolist()))
+    for t in types:
+        assert t == monomial(*t)
+        assert sum(k * e for k, e in t) == n
+    assert ids.dtype == np.intp
+    assert not ids.flags.writeable
 
 
 def test_cycle_type_of_basics():

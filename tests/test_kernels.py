@@ -73,6 +73,13 @@ def test_sweep_identity_only_keeps_everything():
     assert sweep_minimal_count([list(range(8))]) == 1 << 8
 
 
+def test_sweep_over_zero_bits_keeps_the_empty_mask():
+    """A zero-width row permutes no bits: its one orbit is the empty mask."""
+    empty = np.zeros((1, 0), dtype=np.int16)
+    assert sweep_minimal_count(empty) == 1
+    assert sweep_minimal_masks(empty).tolist() == [0]
+
+
 def test_sweep_rotation_orbits():
     assert sweep_minimal_count(ROTATION3) == 4
     masks = sweep_minimal_masks(ROTATION3)

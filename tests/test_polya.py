@@ -1,11 +1,14 @@
 """Cycle-index polynomials, closed-form counts, and the count report."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from cayley8p import cli, polya
+from cayley8p.autos import enumerate_aut
+from cayley8p.domain import build_domain, cycle_type_of, induced_permutation
 from cayley8p.modular import divisors, euler_phi, is_odd_prime
 from cayley8p.polya import (
     CycleIndexPoly,
@@ -79,6 +82,17 @@ def test_closed_form_poly_matches_count_formula():
 def test_bruteforce_poly_at_two():
     for p in PRIMES:
         assert cycle_index_bruteforce(p).evaluate(2) == BRUTE_AT_TWO[p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bruteforce_weights_are_a_per_map_monomial_tally(p):
+    """Each map adds one to the weight of its own monomial, from the scalar decomposition."""
+    d = build_domain(p)
+    tally = Counter(
+        monomial_from_cycle_type(cycle_type_of(induced_permutation(f, d)))
+        for f in enumerate_aut(p)
+    )
+    assert cycle_index_bruteforce(p).weights == dict(tally)
 
 
 def test_the_two_polynomials_disagree():

@@ -4,7 +4,9 @@ the input `build_verification_report` refuses."""
 import pytest
 
 from cayley8p import polya
+from cayley8p.autos import enumerate_aut
 from cayley8p.cli import _report_json
+from cayley8p.domain import build_domain, closed_form_cycle_type, cycle_type_of, induced_permutation
 from cayley8p.polya import count_report
 from cayley8p.verify import Comparison, build_verification_report
 
@@ -50,6 +52,22 @@ def test_comparison_passes_agreeing_routes():
     counts = _report_json(count_report(3), [agreeing])
     assert counts["methods"]["orbit_partition"] == "432"
     assert counts["discrepancies"] == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mismatch_count_equals_a_per_map_scalar_count(p):
+    """The check compares once per distinct (genuine type, case) pair; its
+    count equals comparing the scalar decomposition with the case analysis
+    map by map."""
+    d = build_domain(p)
+    scalar = sum(
+        cycle_type_of(induced_permutation(f, d)) != closed_form_cycle_type(f)
+        for f in enumerate_aut(p)
+    )
+    details = {c.name: c.details for c in build_verification_report(p, "quick").checks}
+    assert details["cycle_types_closed_vs_brute"] == (
+        f"{scalar} mismatches over {4 * p * (p - 1)} automorphisms"
+    )
 
 
 def _no_work(p):
