@@ -140,8 +140,15 @@ def cmd_count(args) -> int:
     return 0
 
 
+def _p_list_token(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"--p-list: not an integer: {tok!r}") from None
+
+
 def cmd_table(args) -> int:
-    ps = [check_odd_prime(int(tok)) for tok in args.p_list.split(",") if tok]
+    ps = [check_odd_prime(_p_list_token(tok)) for tok in args.p_list.split(",") if tok]
     if not ps:
         raise ValueError(f"--p-list names no prime: {args.p_list!r}")
     reports = [polya.count_report(p) for p in ps]

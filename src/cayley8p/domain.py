@@ -37,8 +37,10 @@ some cycle lengths.
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autos import SIGMA, Automorphism, aut_blocks, apply
 from .group import GroupElement, element_index, inv
@@ -50,6 +52,8 @@ KIND_AP = "Ap"
 KIND_B = "B"
 
 _INT16_MAX = np.iinfo(np.int16).max
+_BLOCK_IMAGES = 1 << 16  # class member images per pass of _induced_blocks
+_CYCLE_CHUNK = 256  # rows per pointer-jumping pass
 
 # a monomial is a tuple of (variable index, exponent) pairs, ascending by index
 Monomial = tuple[tuple[int, int], ...]
@@ -147,57 +151,81 @@ def _induced_blocks(d: Domain, blocks) -> tuple[np.ndarray, np.ndarray]:
     order, shifted down by 2p.
 
     The rules of apply are evaluated on both members of every class and the
-    images looked up in the class table: the A classes (even powers of b,
-    whose images do not read beta) once per block, the B classes once per
-    map, a whole block in one numpy pass.  A row is a bijection that keeps
-    the blocks exactly when its A-half and its shifted B-half each permute
-    0 .. 2p-1.  A straddled class or a repeated image raises exactly as in
-    induced_permutation, and a class sent into the other block raises as
-    crossing the blocks, each for the first beta that shows it.
+    images looked up in the int16 class table.  The A classes (even powers
+    of b), whose images do not read beta, are imaged for every block in one
+    pass.  A B class member a^k b^l goes to a^(x + beta) b^l' with x = k
+    alpha mod 2p, and its images for beta = 0 .. 2p-1 are one window of row
+    l' of the class table tiled twice, so the B classes of many blocks are
+    imaged per pass with no remainder per image, up to _BLOCK_IMAGES member
+    images or one block, and written straight into the B-halves.  A row is
+    a bijection that keeps the blocks exactly when its A-half and its
+    shifted B-half each permute 0 .. 2p-1; _refuse words the refusal of
+    the first block, in blocks order, that has a map breaking this.
     """
     p, n = d.p, 2 * d.p
     members = [sorted((g.k, g.l) for g in c.members) for c in d.classes]
-    # (4p, 2) arrays of k and l; the singleton {a^p} is listed twice
-    k, l = np.array([(m * 2)[:2] for m in members]).transpose(2, 0, 1)
-    k_a, l_a, k_b, l_b = k[:n], l[:n], k[n:], l[n:]
-    class_of = np.array(d.class_of_element)
-    beta = np.arange(n)[:, None, None]
-    a_halves = np.empty((len(blocks), n), dtype=np.int16)
+    # (2, 1, 4p) arrays of k and l, one row per member; the singleton {a^p} is listed twice
+    k, l = np.array([(m * 2)[:2] for m in members]).transpose(2, 1, 0).copy()[:, :, None]
+    k_a, l_a, k_b, l_b = k[..., :n], l[..., :n], k[..., n:], l[..., n:]
+    class_of = np.array(d.class_of_element, dtype=np.int16)
+    alpha = np.array([a for _, a in blocks])[:, None]
+    tau = np.array([f != SIGMA for f, _ in blocks])[:, None]
+    # both indexed (member, block, class)
+    a_images = class_of[l_a * n + (k_a * alpha + (tau & (l_a == 2)) * p) % n]
+    starts = np.where(tau, 4 - l_b, l_b) * 2 * n + k_b * alpha % n
+    # window s lists the shifted B class of a^(x + beta) b^l' for s = 2n l' + x
+    windows = sliding_window_view(np.tile(class_of.reshape(4, n) - np.int16(n), 2).ravel(), n)
+    identity = np.arange(n, dtype=np.int16)
+    a_halves = a_images[0]
+    a_bad = (a_images[1] != a_halves).any(axis=1) | (np.sort(a_halves) != identity).any(axis=1)
     b_halves = np.empty((len(blocks), n, n), dtype=np.int16)
-    for i, (family, alpha) in enumerate(blocks):
-        if family == SIGMA:
-            a_images = class_of[l_a * n + k_a * alpha % n]
-            l_image = l_b
-        else:
-            a_images = class_of[l_a * n + (k_a * alpha + np.where(l_a == 2, p, 0)) % n]
-            l_image = 4 - l_b
-        b_images = class_of[l_image * n + (k_b * alpha + beta) % n] - n
-        a_half, b_half = a_images[:, 0], b_images[..., 0]
-        a_split = a_images[:, 1] != a_half
-        b_split = b_images[..., 1] != b_half
-        if a_split.any() or b_split.any():
-            # an A class splits under every beta, and the A classes come first
-            b, c = (0, a_split.argmax()) if a_split.any() else np.argwhere(b_split)[0] + (0, n)
-            raise ArithmeticError(
-                f"{family}({alpha},{b}) splits class {d.classes[c].rep} across two classes"
-            )
-        a_crosses = (a_half >= n).any()
-        b_crosses = (b_half < 0).any(axis=1)
-        if a_crosses or b_crosses.any():
-            # an A class crosses under every beta
-            raise ArithmeticError(
-                f"{family}({alpha},{0 if a_crosses else b_crosses.argmax()}) "
-                "sends a class across the A and B blocks"
-            )
-        a_repeats = (np.sort(a_half) != np.arange(n)).any()
-        b_repeats = (np.sort(b_half, axis=1) != np.arange(n)).any(axis=1)
-        if a_repeats or b_repeats.any():
-            raise ArithmeticError(
-                f"{family}({alpha},{0 if a_repeats else b_repeats.argmax()}) "
-                "does not act bijectively on the classes"
-            )
-        a_halves[i], b_halves[i] = a_half, b_half
+    step = max(1, _BLOCK_IMAGES // (2 * n * n))
+    for lo in range(0, len(blocks), step):
+        b_images = windows[starts[:, lo : lo + step]]  # (member, block, class, beta)
+        out = b_halves[lo : lo + step]
+        out[...] = b_images[0].transpose(0, 2, 1)
+        bad = (
+            a_bad[lo : lo + step]
+            | (b_images[1] != b_images[0]).any(axis=(1, 2))
+            | (np.sort(out) != identity).any(axis=(1, 2))
+        )
+        if bad.any():
+            i = lo + int(bad.argmax())
+            _refuse(d, *blocks[i], a_images[:, i], windows[starts[:, i]])
     return a_halves, b_halves.reshape(-1, n)
+
+
+def _refuse(d: Domain, family: str, alpha: int, a_images, b_images) -> NoReturn:
+    """Raise for one block that _induced_blocks found broken, given the
+    images of both members of its A classes, (member, class), and of its B
+    classes, (member, class, beta).  It checks for a straddled class, then
+    for a class sent into the other block, then for a repeated image, and
+    names the first beta that shows the first of these; the straddle and
+    the repeat are worded as in induced_permutation."""
+    n = 2 * d.p
+    a_half, b_half = a_images[0], b_images[0].T
+    a_split = a_images[1] != a_half
+    b_split = (b_images[1] != b_images[0]).T
+    if a_split.any() or b_split.any():
+        # an A class splits under every beta, and the A classes come first
+        b, c = (0, a_split.argmax()) if a_split.any() else np.argwhere(b_split)[0] + (0, n)
+        raise ArithmeticError(
+            f"{family}({alpha},{b}) splits class {d.classes[c].rep} across two classes"
+        )
+    a_crosses = (a_half >= n).any()
+    b_crosses = (b_half < 0).any(axis=1)
+    if a_crosses or b_crosses.any():
+        # an A class crosses under every beta
+        raise ArithmeticError(
+            f"{family}({alpha},{0 if a_crosses else b_crosses.argmax()}) "
+            "sends a class across the A and B blocks"
+        )
+    a_repeats = (np.sort(a_half) != np.arange(n)).any()
+    b_repeats = (np.sort(b_half, axis=1) != np.arange(n)).any(axis=1)
+    raise ArithmeticError(
+        f"{family}({alpha},{0 if a_repeats else b_repeats.argmax()}) "
+        "does not act bijectively on the classes"
+    )
 
 
 def _check_int16_classes(p: int) -> None:
@@ -211,9 +239,9 @@ def check_array_memory(p: int) -> None:
     """Refuse a p with more classes than an int16 index holds, then a p
     whose int16 permutation array, 4p(p-1) by 4p, would take more than a
     quarter of physical memory.  No genuine count builds that array:
-    induced_halves and cycle_types peak at 1.3 times its size at p = 101
+    induced_halves and cycle_types peak at 1.32 times its size at p = 101
     (tracemalloc), and induced_permutations, which assembles it from the
-    halves, at 1.8 times, so both stay under half."""
+    halves, at 1.80 times, so both stay under half."""
     _check_int16_classes(p)
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -263,9 +291,6 @@ def induced_permutations(p: int) -> np.ndarray:
     np.add(b_rows[b_ids], 2 * p, out=perms[:, 2 * p :])
     perms.flags.writeable = False
     return perms
-
-
-_CYCLE_CHUNK = 256  # rows per pointer-jumping pass
 
 
 def cycle_counts(perms) -> tuple[tuple[Monomial, ...], np.ndarray]:

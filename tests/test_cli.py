@@ -139,7 +139,9 @@ def test_table_tests_each_p_for_primality_once(capsys):
 
 def test_table_rejects_bad_token(capsys):
     assert main(["table", "--p-list", "3,x"]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --p-list: not an integer: 'x'\n"
 
 
 def test_verify_quick_text(capsys):

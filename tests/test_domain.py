@@ -7,18 +7,21 @@ genuinely disagree for some units; those disagreements are frozen here as
 facts, not patched.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import independent_model as im
-from cayley8p.autos import SIGMA, TAU, Automorphism, enumerate_aut
+from cayley8p.autos import SIGMA, TAU, Automorphism, aut_blocks, enumerate_aut
 from cayley8p.domain import (
     KIND_A1,
     KIND_A2,
     KIND_AP,
     KIND_B,
+    _BLOCK_IMAGES,
     Domain,
     _induced_blocks,
     a2_labels,
@@ -35,7 +38,7 @@ from cayley8p.domain import (
     monomial,
     render_cycle_type,
 )
-from cayley8p.group import GroupElement, all_elements, inv
+from cayley8p.group import GroupElement, all_elements, element_index, inv
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -145,6 +148,76 @@ def test_induced_blocks_refuse_a_class_sent_across_the_blocks():
                 ArithmeticError, match=rf"{family}\(1,0\) sends a class across the A and B blocks"
             ):
                 _induced_blocks(crossed, [(family, 1)])
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_pass_boundaries_change_nothing(budget, monkeypatch):
+    """Every p of PRIMES fits in one imaging pass at the default budget: one
+    block per pass, or all blocks in one, gives the same arrays."""
+    want = {p: _induced_blocks(build_domain(p), aut_blocks(p)) for p in PRIMES}
+    monkeypatch.setattr("cayley8p.domain._BLOCK_IMAGES", budget)
+    for p in PRIMES:
+        for got, expected in zip(_induced_blocks(build_domain(p), aut_blocks(p)), want[p]):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected)
+
+
+def test_induced_blocks_match_the_reference_path_across_passes():
+    """At p = 17 the default budget images the 32 blocks in more than one pass."""
+    p, n = 17, 34
+    blocks = aut_blocks(p)
+    assert len(blocks) * 2 * n * n > _BLOCK_IMAGES
+    d = build_domain(p)
+    a_halves, b_halves = _induced_blocks(d, blocks)
+    reference = np.array([induced_permutation(f, d) for f in enumerate_aut(p)])
+    assert np.array_equal(np.repeat(a_halves, n, axis=0), reference[:, :n])
+    assert np.array_equal(b_halves, reference[:, n:] - n)
+
+
+_CLASS_6 = (GroupElement(3, 0, 1), GroupElement(3, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "moved, into, refusal",
+    [
+        ((GroupElement(3, 3, 3),), 7, r"splits class a\^0 b\^1 across two classes"),
+        (_CLASS_6, 0, "sends a class across the A and B blocks"),
+        (_CLASS_6, 7, "does not act bijectively"),
+    ],
+)
+def test_induced_blocks_refuse_broken_b_classes(moved, into, refusal):
+    """The B class 6 = {a^0 b, a^3 b^3} at p = 3, with one member relabelled
+    into the B class 7, or both into the A class 0, or both into class 7."""
+    d = build_domain(3)
+    class_of = list(d.class_of_element)
+    for g in moved:
+        class_of[element_index(g)] = into
+    broken = Domain(3, d.classes, tuple(class_of))
+    with pytest.raises(ArithmeticError, match=rf"^sigma\(1,0\) {refusal}"):
+        _induced_blocks(broken, [(SIGMA, 1)])
+
+
+def test_a_split_b_class_is_refused_while_every_row_permutes():
+    """Class 6 listed as {a^0 b, a^4 b^3}: its second member goes to class 7
+    under sigma(1,0), while the first members' images, the B-halves, still
+    permute the B classes under every beta."""
+    d = build_domain(3)
+    classes = list(d.classes)
+    members = frozenset({GroupElement(3, 0, 1), GroupElement(3, 4, 3)})
+    classes[6] = replace(classes[6], members=members)
+    broken = Domain(3, tuple(classes), d.class_of_element)
+    with pytest.raises(ArithmeticError, match=r"^sigma\(1,0\) splits class a\^0 b\^1"):
+        _induced_blocks(broken, [(SIGMA, 1)])
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 30])
+def test_the_first_broken_block_is_refused(budget, monkeypatch):
+    """sigma(3, .) repeats an image and sigma(2, .) splits a class: the block
+    listed first is refused, whether or not the two share a pass."""
+    monkeypatch.setattr("cayley8p.domain._BLOCK_IMAGES", budget)
+    blocks = [(SIGMA, 1), (SIGMA, 3), (SIGMA, 2)]
+    with pytest.raises(ArithmeticError, match=r"^sigma\(3,0\) does not act bijectively"):
+        _induced_blocks(build_domain(3), blocks)
 
 
 def test_induced_action_examples():

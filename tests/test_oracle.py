@@ -43,14 +43,27 @@ from cayley8p.oracle import (
     orbit_representatives,
     to_dot,
 )
-from cayley8p.polya import n_circulant, n_connected
+from cayley8p.polya import cycle_index_bruteforce, n_circulant, n_connected
 
 BURNSIDE = {3: 624, 5: 25152, 7: 2111232, 11: 41916787200, 13: 7365876904064}
+# above the tested primes; the values at 31 and 37 are also benchmarks/e2e/pinned.json's
+BURNSIDE_LARGE = {
+    17: 272443363353431232,
+    19: 55346354323624035072,
+    23: 2447736832842339430672128,
+    31: 5717284381888519072422401313709056,
+    37: 66969460322208593711473542310152237412480,
+}
 
 
 def test_burnside_frozen_values():
     for p, want in BURNSIDE.items():
         assert burnside_count(p) == want
+
+
+def test_genuine_totals_frozen_above_the_tested_primes():
+    for p, want in BURNSIDE_LARGE.items():
+        assert burnside_count(p) == cycle_index_bruteforce(p).evaluate(2) == want
 
 
 def test_orbit_partition_matches_burnside():
