@@ -9,7 +9,7 @@ of the package follows it.  Maps are stored as parameters.
 from dataclasses import dataclass
 from math import gcd
 
-from .group import GroupElement, all_elements, mul
+from .group import GroupElement, all_elements
 from .modular import check_odd_prime, units_mod
 
 SIGMA = "sigma"
@@ -36,10 +36,6 @@ class Automorphism:
 
     def __str__(self) -> str:
         return f"{self.family}({self.alpha},{self.beta})"
-
-
-def identity_automorphism(p: int) -> Automorphism:
-    return Automorphism(p, SIGMA, 1, 0)
 
 
 def aut_blocks(p: int) -> list[tuple[str, int]]:
@@ -75,20 +71,6 @@ def apply(f: Automorphism, g: GroupElement) -> GroupElement:
     if l == 2:
         return GroupElement(p, (k * f.alpha + p) % n, 2)
     return GroupElement(p, (k * f.alpha + f.beta) % n, 4 - l)
-
-
-def verify_automorphism(f: Automorphism) -> bool:
-    """Definition check: bijective on all 8p elements and multiplicative on all pairs."""
-    elems = all_elements(f.p)
-    images = [apply(f, g) for g in elems]
-    if len(set(images)) != len(elems):
-        return False
-    image_of = dict(zip(elems, images))
-    return all(
-        image_of[mul(x, y)] == mul(image_of[x], image_of[y])
-        for x in elems
-        for y in elems
-    )
 
 
 def compose(f: Automorphism, g: Automorphism) -> Automorphism:

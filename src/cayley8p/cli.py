@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable
+from functools import cache
 from math import log10
 
 from . import oracle, polya
@@ -276,6 +277,7 @@ def _workers(text: str) -> int:
     return value
 
 
+@cache  # built on the first main call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayley8p",

@@ -9,6 +9,10 @@ Every non-identity element g is grouped with its inverse into a class
     index 2p-1              the singleton {a^p} (the unique involution in <a>)
     indices 2p .. 4p-1      pairs {a^j b, a^{p+j} b^3},  labels j = 0 .. 2p-1
 
+class_members(p) writes this layout once, in element indices l*2p + k, and
+class_table(p) inverts it: every counting path reads these two arrays.
+Objects appear only in build_domain(p), their view for the API and tests.
+
 Automorphisms permute these classes.  induced_halves(p) holds the action
 of all 4p(p-1) maps as distinct A- and B-half-rows, and each map's row
 among them: at p = 31 the 3720 maps have 30 distinct A-halves and 1860
@@ -43,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .autos import SIGMA, Automorphism, aut_blocks, apply
-from .group import GroupElement, element_index, inv
+from .group import GroupElement, all_elements, element_index
 from .modular import check_odd_prime, mult_order
 
 KIND_A1 = "A1"
@@ -87,40 +91,57 @@ class Domain:
         return self.class_of_element[element_index(g)]
 
 
-def _pair_class(kind: str, label: int, member: GroupElement) -> PairClass:
-    other = inv(member)
-    members = frozenset((member, other))
-    rep = min(members, key=lambda g: (g.l, g.k))
-    return PairClass(kind, label, rep, members)
-
-
 def a2_labels(p: int) -> list[int]:
     """The p class labels for the b^2 block: one residue out of each pair {l, p-l}."""
     return list(range((p - 1) // 2 + 1)) + list(range(p + 1, (3 * p - 1) // 2 + 1))
 
 
 @lru_cache(maxsize=None)
-def build_domain(p: int) -> Domain:
+def class_members(p: int) -> np.ndarray:
+    """The layout as a read-only (4p, 2) intp array: row c holds the element
+    indices l*2p + k of class c's members, least first (members[c, 0] is its
+    representative); the singleton {a^p} is listed twice."""
     check_odd_prime(p)
-    classes: list[PairClass] = []
-    for i in range(1, p):
-        classes.append(_pair_class(KIND_A1, i, GroupElement(p, i, 0)))
-    for l in a2_labels(p):
-        classes.append(_pair_class(KIND_A2, l, GroupElement(p, l, 2)))
-    classes.append(_pair_class(KIND_AP, p, GroupElement(p, p, 0)))
-    for j in range(2 * p):
-        classes.append(_pair_class(KIND_B, j, GroupElement(p, j, 1)))
+    n = 2 * p
+    i, l, j = np.arange(1, p), np.array(a2_labels(p)), np.arange(n)
+    first = np.concatenate([i, 2 * n + l, [p], n + j])
+    second = np.concatenate([n - i, 2 * n + (p - l) % n, [p], 3 * n + (p + j) % n])
+    members = np.column_stack([first, second])
+    members.flags.writeable = False
+    return members
 
-    lookup = [-1] * (8 * p)
-    for ci, cls in enumerate(classes):
-        for g in cls.members:
-            ei = element_index(g)
-            if lookup[ei] != -1:
-                raise ArithmeticError(f"element {g} appears in two classes")
-            lookup[ei] = ci
-    if lookup.count(-1) != 1 or lookup[0] != -1:
+
+@lru_cache(maxsize=None)
+def class_table(p: int) -> np.ndarray:
+    """The class of each element index, -1 for the identity: a read-only int16
+    array of length 8p inverting class_members(p).  Raises ArithmeticError
+    unless the classes cover exactly the non-identity elements, each once."""
+    _check_int16_classes(p)
+    members = class_members(p)
+    counts = np.bincount(np.r_[members[:, 0], members[members[:, 1] != members[:, 0], 1]])
+    if counts.max() > 1:
+        e = int(counts.argmax())
+        raise ArithmeticError(f"element a^{e % (2 * p)} b^{e // (2 * p)} appears in two classes")
+    if counts.tolist() != [0] + [1] * (8 * p - 1):
         raise ArithmeticError("classes must cover exactly the non-identity elements")
-    return Domain(p, tuple(classes), tuple(lookup))
+    table = np.full(8 * p, -1, dtype=np.int16)
+    table[members] = np.arange(4 * p, dtype=np.int16)[:, None]
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def build_domain(p: int) -> Domain:
+    """The object view of class_members(p) and class_table(p): each class
+    has the kind of its block, and its representative's power of a as label."""
+    check_odd_prime(p)
+    kinds = [KIND_A1] * (p - 1) + [KIND_A2] * p + [KIND_AP] + [KIND_B] * 2 * p
+    g = all_elements(p)
+    classes = tuple(
+        PairClass(kind, g[i].k, g[i], frozenset((g[i], g[j])))
+        for kind, (i, j) in zip(kinds, class_members(p).tolist())
+    )
+    return Domain(p, classes, tuple(class_table(p).tolist()))
 
 
 def induced_permutation(f: Automorphism, d: Domain) -> tuple[int, ...]:
@@ -144,30 +165,28 @@ def induced_permutation(f: Automorphism, d: Domain) -> tuple[int, ...]:
     return perm
 
 
-def _induced_blocks(d: Domain, blocks) -> tuple[np.ndarray, np.ndarray]:
+def _induced_blocks(members, class_of, blocks) -> tuple[np.ndarray, np.ndarray]:
     """The induced permutations of family(alpha, beta), for each (family,
     alpha) of blocks and beta = 0 .. 2p-1, as two stacked int16 arrays: the
     A-halves, one row per block, and the B-halves, one row per map in block
     order, shifted down by 2p.
 
-    The rules of apply are evaluated on both members of every class and the
-    images looked up in the int16 class table.  The A classes (even powers
-    of b), whose images do not read beta, are imaged for every block in one
-    pass.  A B class member a^k b^l goes to a^(x + beta) b^l' with x = k
-    alpha mod 2p, and its images for beta = 0 .. 2p-1 are one window of row
-    l' of the class table tiled twice, so the B classes of many blocks are
-    imaged per pass with no remainder per image, up to _BLOCK_IMAGES member
-    images or one block, and written straight into the B-halves.  A row is
-    a bijection that keeps the blocks exactly when its A-half and its
-    shifted B-half each permute 0 .. 2p-1; _refuse words the refusal of
-    the first block, in blocks order, that has a map breaking this.
+    The rules of apply are evaluated on both members of every class, a row of
+    members, and the images looked up in class_of, the int16 class table.  The
+    A classes (even powers of b), whose images do not read beta, are imaged
+    for every block in one pass.  A B class member a^k b^l goes to a^(x +
+    beta) b^l' with x = k alpha mod 2p, and its images for beta = 0 .. 2p-1
+    are one window of row l' of the class table tiled twice, so the B classes
+    of many blocks are imaged per pass with no remainder per image, up to
+    _BLOCK_IMAGES member images or one block, and written straight into the
+    B-halves.  A row is a bijection that keeps the blocks exactly when its
+    A-half and its shifted B-half each permute 0 .. 2p-1; _refuse words the
+    refusal of the first block, in blocks order, that has a map breaking this.
     """
-    p, n = d.p, 2 * d.p
-    members = [sorted((g.k, g.l) for g in c.members) for c in d.classes]
-    # (2, 1, 4p) arrays of k and l, one row per member; the singleton {a^p} is listed twice
-    k, l = np.array([(m * 2)[:2] for m in members]).transpose(2, 1, 0).copy()[:, :, None]
+    p, n = len(members) // 4, len(members) // 2
+    # (2, 1, 4p) arrays of l and k, one row per member
+    l, k = np.divmod(members.T[:, None], n)
     k_a, l_a, k_b, l_b = k[..., :n], l[..., :n], k[..., n:], l[..., n:]
-    class_of = np.array(d.class_of_element, dtype=np.int16)
     alpha = np.array([a for _, a in blocks])[:, None]
     tau = np.array([f != SIGMA for f, _ in blocks])[:, None]
     # both indexed (member, block, class)
@@ -191,26 +210,27 @@ def _induced_blocks(d: Domain, blocks) -> tuple[np.ndarray, np.ndarray]:
         )
         if bad.any():
             i = lo + int(bad.argmax())
-            _refuse(d, *blocks[i], a_images[:, i], windows[starts[:, i]])
+            _refuse(members, *blocks[i], a_images[:, i], windows[starts[:, i]])
     return a_halves, b_halves.reshape(-1, n)
 
 
-def _refuse(d: Domain, family: str, alpha: int, a_images, b_images) -> NoReturn:
+def _refuse(members, family: str, alpha: int, a_images, b_images) -> NoReturn:
     """Raise for one block that _induced_blocks found broken, given the
     images of both members of its A classes, (member, class), and of its B
     classes, (member, class, beta).  It checks for a straddled class, then
     for a class sent into the other block, then for a repeated image, and
     names the first beta that shows the first of these; the straddle and
     the repeat are worded as in induced_permutation."""
-    n = 2 * d.p
+    n = len(members) // 2
     a_half, b_half = a_images[0], b_images[0].T
     a_split = a_images[1] != a_half
     b_split = (b_images[1] != b_images[0]).T
     if a_split.any() or b_split.any():
         # an A class splits under every beta, and the A classes come first
         b, c = (0, a_split.argmax()) if a_split.any() else np.argwhere(b_split)[0] + (0, n)
+        e = members[c, 0]
         raise ArithmeticError(
-            f"{family}({alpha},{b}) splits class {d.classes[c].rep} across two classes"
+            f"{family}({alpha},{b}) splits class a^{e % n} b^{e // n} across two classes"
         )
     a_crosses = (a_half >= n).any()
     b_crosses = (b_half < 0).any(axis=1)
@@ -235,6 +255,11 @@ def _check_int16_classes(p: int) -> None:
         )
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, read afresh on every call."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_array_memory(p: int) -> None:
     """Refuse a p with more classes than an int16 index holds, then a p
     whose int16 permutation array, 4p(p-1) by 4p, would take more than a
@@ -244,7 +269,7 @@ def check_array_memory(p: int) -> None:
     halves, at 1.80 times, so both stay under half."""
     _check_int16_classes(p)
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     if need > memory // 2:
         raise ValueError(
             f"p={p} needs {need / 2**20:,.1f} MiB for its int16 permutation and cycle "
@@ -268,7 +293,7 @@ def induced_halves(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     """
     check_odd_prime(p)
     check_array_memory(p)
-    a_halves, b_halves = _induced_blocks(build_domain(p), aut_blocks(p))
+    a_halves, b_halves = _induced_blocks(class_members(p), class_table(p), aut_blocks(p))
     a_rows, block_ids = distinct_rows(a_halves)
     b_rows, b_ids = distinct_rows(b_halves)
     a_ids = np.repeat(block_ids, 2 * p)  # an A-half is shared by the 2p maps of its block

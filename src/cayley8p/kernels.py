@@ -58,19 +58,6 @@ def bit_tables(perms) -> tuple[np.ndarray, np.ndarray, int, int]:
     return tables[0], tables[1], lo_bits, (1 << lo_bits) - 1
 
 
-def apply_perm_to_mask(mask: int, perm) -> int:
-    """Scalar reference image of one mask, which the tests compare the tables against.
-
-    Each target is cast to int, so a row of a fixed-width array shifts as a
-    Python integer instead of wrapping.
-    """
-    img = 0
-    for i, target in enumerate(perm):
-        if mask >> i & 1:
-            img |= 1 << int(target)
-    return img
-
-
 def _minimal(start, stop, tlo, thi, lo_bits, lo_mask):
     """Minimal masks of one chunk [start, stop): a mask leaves at its first smaller image."""
     masks = np.arange(start, stop, dtype=np.int64)

@@ -21,12 +21,11 @@ representatives).  No cap goes past p = 7: they are held as one int64
 mask per orbit, and p = 11 has at least 2^44/440, about 4.0e10, orbits.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, build_domain, cycle_types, distinct_rows, induced_halves
+from .domain import Domain, _physical_memory, class_table, cycle_types, distinct_rows, induced_halves
 from .group import mul_table
 from .kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
@@ -133,7 +132,11 @@ def _two_level_sweep(a_rows, a_ids, b_rows, b_ids) -> np.ndarray:
 
 def mask_elements(d: Domain, mask: int) -> list[int]:
     """Element indices of the union of the selected classes, ascending."""
-    return [e for e, c in enumerate(d.class_of_element) if c >= 0 and mask >> c & 1]
+    return _elements(d.class_of_element, mask)
+
+
+def _elements(class_of, mask: int) -> list[int]:
+    return [e for e, c in enumerate(class_of) if c >= 0 and mask >> c & 1]
 
 
 @dataclass(frozen=True)
@@ -150,9 +153,8 @@ def build_cayley_graph(p: int, mask: int) -> CayleyGraph:
     rows come straight out of the multiplication table.
     """
     _check_mask(p, mask)
-    d = build_domain(p)
     table = mul_table(p)
-    selected = mask_elements(d, mask)
+    selected = _elements(class_table(p).tolist(), mask)
     neighbors = tuple(
         tuple(sorted(table[s][v] for s in selected)) for v in range(8 * p)
     )
@@ -162,7 +164,7 @@ def build_cayley_graph(p: int, mask: int) -> CayleyGraph:
 def is_connected(p: int, mask: int) -> bool:
     """Breadth-first traversal from the identity vertex reaches everything."""
     _check_mask(p, mask)
-    selected = mask_elements(build_domain(p), mask)
+    selected = _elements(class_table(p).tolist(), mask)
     return len(_reached(mul_table(p), selected)) == 8 * p
 
 
@@ -190,13 +192,13 @@ def _maximal_subgroups(p: int) -> list[int]:
     new appears finds them all.  The maximal ones are the proper subgroups
     inside no other proper subgroup.
     """
-    d = build_domain(p)
+    class_of = class_table(p).tolist()
     table = mul_table(p)
 
     def generated(mask: int) -> int:
         out = 0
-        for v in _reached(table, mask_elements(d, mask))[1:]:
-            out |= 1 << d.class_of_element[v]
+        for v in _reached(table, _elements(class_of, mask))[1:]:
+            out |= 1 << class_of[v]
         return out
 
     cyclic = {generated(1 << c) for c in range(4 * p)}
@@ -268,7 +270,7 @@ def circulant_orbit_count(p: int) -> int:
     check_odd_prime(p)
     pairs = (p - 1) // 2
     need = 16 * ((1 << p) // pairs)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = _physical_memory()
     if need > memory // 2:
         raise ValueError(
             f"p={p} needs {need >> 20:,} MiB for the at least 2^{p}/{pairs} orbits its "

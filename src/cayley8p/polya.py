@@ -39,10 +39,6 @@ def monomial_from_cycle_type(counts: dict[int, int]) -> Monomial:
     return monomial(*counts.items())
 
 
-def weighted_degree(m: Monomial) -> int:
-    return sum(k * e for k, e in m)
-
-
 @dataclass(frozen=True, eq=True)
 class CycleIndexPoly:
     """Polynomial as integer weights over a common order; equality is structural."""

@@ -126,12 +126,17 @@ def burnside_count(p):
     return total // len(perms)
 
 
-def _apply_mask(mask, perm):
-    out = 0
+def apply_perm_to_mask(mask: int, perm) -> int:
+    """Scalar reference image of one mask, which the tests compare the tables against.
+
+    Each target is cast to int, so a row of a fixed-width array shifts as a
+    Python integer instead of wrapping.
+    """
+    img = 0
     for i, target in enumerate(perm):
         if mask >> i & 1:
-            out |= 1 << target
-    return out
+            img |= 1 << int(target)
+    return img
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +154,7 @@ def orbit_data(p):
 
     for mask in range(1 << n):
         for perm in perms:
-            ra, rb = find(mask), find(_apply_mask(mask, perm))
+            ra, rb = find(mask), find(apply_perm_to_mask(mask, perm))
             if ra != rb:
                 parent[ra] = rb
     reps = {}

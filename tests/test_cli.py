@@ -1,5 +1,6 @@
 """End-to-end command line behavior, driven through main(argv)."""
 
+import argparse
 import contextlib
 import json
 import os
@@ -8,13 +9,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cayley8p import domain, oracle, polya
-from cayley8p.autos import aut_blocks, enumerate_aut
+from cayley8p import autos, cli, domain, group, kernels, modular, oracle, polya, verify
+from cayley8p.autos import Automorphism, aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
+from cayley8p.domain import PairClass
+from cayley8p.group import GroupElement
 from cayley8p.domain import closed_form_cycle_type, render_cycle_type
 from cayley8p.modular import is_odd_prime
 from cayley8p.polya import cycle_index_bruteforce, n_total
@@ -626,3 +630,66 @@ def test_genuine_counts_never_build_the_whole_permutation_array(argv, capsys, mo
     monkeypatch.setattr(oracle, "_census_cache", {})
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+def _clear_every_cache(monkeypatch):
+    for module in (autos, cli, domain, group, kernels, modular, oracle, polya, verify):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    monkeypatch.setattr(oracle, "_reps_cache", {})
+    monkeypatch.setattr(oracle, "_census_cache", {})
+
+
+def _count_constructions(monkeypatch, cls, method, built):
+    original = getattr(cls, method, None)
+
+    def counted(self, *args, **kwargs):
+        if original is not None:
+            original(self, *args, **kwargs)
+        built[cls.__name__, getattr(self, "p", None)] += 1
+
+    monkeypatch.setattr(cls, method, counted)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--p", "5"],
+        ["table", "--p-list", "3,5"],
+        ["cycle-index", "--p", "5"],
+        ["cycle-types", "--p", "5"],
+        ["verify", "--p", "31"],
+        ["verify", "--p", "5", "--level", "full"],
+    ],
+)
+def test_no_command_builds_objects_per_element_or_per_map(argv, capsys, monkeypatch):
+    """With every cache cleared, no command builds a GroupElement or a
+    PairClass, and at most one Automorphism per closed-form case: 4p per p."""
+    _clear_every_cache(monkeypatch)
+    built = Counter()
+    _count_constructions(monkeypatch, GroupElement, "__post_init__", built)
+    _count_constructions(monkeypatch, Automorphism, "__post_init__", built)
+    # PairClass has no __post_init__ for its generated __init__ to call
+    _count_constructions(monkeypatch, PairClass, "__init__", built)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert [key for key in built if key[0] != "Automorphism"] == []
+    assert all(n <= 4 * p for (_, p), n in built.items()), built
+
+
+def test_two_main_calls_build_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert main(["count", "--p", "3"]) == 0
+    first = len(built)
+    assert main(["count", "--p", "5"]) == 0
+    assert first and len(built) == first
+    assert "p = 5" in capsys.readouterr().out

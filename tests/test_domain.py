@@ -7,8 +7,6 @@ genuinely disagree for some units; those disagreements are frozen here as
 facts, not patched.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +20,11 @@ from cayley8p.domain import (
     KIND_AP,
     KIND_B,
     _BLOCK_IMAGES,
-    Domain,
     _induced_blocks,
     a2_labels,
     build_domain,
+    class_members,
+    class_table,
     closed_form_cycle_type,
     closed_form_cycle_types,
     cycle_counts,
@@ -91,6 +90,41 @@ def test_a2_labels_frozen():
     assert a2_labels(5) == [0, 1, 2, 6, 7]
 
 
+def _element(p, e):
+    return GroupElement(p, e % (2 * p), e // (2 * p))
+
+
+@pytest.mark.parametrize("p", PRIMES + (17, 31, 37, 3571))
+def test_class_arrays_pair_each_element_with_its_inverse(p):
+    members, table = class_members(p), class_table(p)
+    assert members.shape == (4 * p, 2) and table.shape == (8 * p,)
+    assert table.dtype == np.int16
+    for first, second in members.tolist():
+        assert first <= second
+        assert _element(p, second) == inv(_element(p, first))
+    assert np.array_equal(table[members], np.repeat(np.arange(4 * p)[:, None], 2, axis=1))
+    assert table[0] == -1
+    assert np.count_nonzero(table == -1) == 1
+    for array in (members, table):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+
+
+def test_class_table_refuses_a_broken_layout(monkeypatch):
+    """An element in two classes, and a layout that lists the identity."""
+    twice = class_members(3).copy()
+    twice[1, 0] = twice[0, 0]  # a^1 in classes 0 and 1
+    monkeypatch.setattr("cayley8p.domain.class_members", lambda p: twice)
+    with pytest.raises(ArithmeticError, match=r"^element a\^1 b\^0 appears in two classes"):
+        class_table.__wrapped__(3)
+    with_identity = class_members(3).copy()
+    with_identity[0, 0] = 0
+    monkeypatch.setattr("cayley8p.domain.class_members", lambda p: with_identity)
+    with pytest.raises(ArithmeticError, match="cover exactly the non-identity elements"):
+        class_table.__wrapped__(3)
+
+
 def test_induced_permutations_are_bijections():
     for p in PRIMES:
         perms = induced_permutations(p)
@@ -124,40 +158,41 @@ def test_induced_halves_match_the_reference_path():
             assert not array.flags.writeable
 
 
+def _layout(p):
+    return class_members(p), class_table(p)
+
+
 def test_induced_blocks_reject_broken_maps():
     """alpha = 2 is no unit mod 6: it splits the classes {a^l b^2, a^{p-l} b^2};
     alpha = 3 keeps every class whole but sends {a, a^5} and {a^3} to {a^3}."""
-    d = build_domain(3)
     for family in (SIGMA, TAU):
         with pytest.raises(ArithmeticError, match="splits class"):
-            _induced_blocks(d, [(family, 2)])
+            _induced_blocks(*_layout(3), [(family, 2)])
         with pytest.raises(ArithmeticError, match="does not act bijectively"):
-            _induced_blocks(d, [(family, 3)])
+            _induced_blocks(*_layout(3), [(family, 3)])
 
 
 def test_induced_blocks_refuse_a_class_sent_across_the_blocks():
     """With a^p, the singleton A class 2p-1, relabelled into the B class 2p,
     every map sends an A class into the B block."""
     for p in (3, 5):
-        d = build_domain(p)
-        class_of = list(d.class_of_element)
-        class_of[class_of.index(2 * p - 1)] = 2 * p
-        crossed = Domain(p, d.classes, tuple(class_of))
+        crossed = class_table(p).copy()
+        crossed[crossed == 2 * p - 1] = 2 * p
         for family in (SIGMA, TAU):
             with pytest.raises(
                 ArithmeticError, match=rf"{family}\(1,0\) sends a class across the A and B blocks"
             ):
-                _induced_blocks(crossed, [(family, 1)])
+                _induced_blocks(class_members(p), crossed, [(family, 1)])
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 30])
 def test_pass_boundaries_change_nothing(budget, monkeypatch):
     """Every p of PRIMES fits in one imaging pass at the default budget: one
     block per pass, or all blocks in one, gives the same arrays."""
-    want = {p: _induced_blocks(build_domain(p), aut_blocks(p)) for p in PRIMES}
+    want = {p: _induced_blocks(*_layout(p), aut_blocks(p)) for p in PRIMES}
     monkeypatch.setattr("cayley8p.domain._BLOCK_IMAGES", budget)
     for p in PRIMES:
-        for got, expected in zip(_induced_blocks(build_domain(p), aut_blocks(p)), want[p]):
+        for got, expected in zip(_induced_blocks(*_layout(p), aut_blocks(p)), want[p]):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert np.array_equal(got, expected)
 
@@ -167,8 +202,8 @@ def test_induced_blocks_match_the_reference_path_across_passes():
     p, n = 17, 34
     blocks = aut_blocks(p)
     assert len(blocks) * 2 * n * n > _BLOCK_IMAGES
+    a_halves, b_halves = _induced_blocks(*_layout(p), blocks)
     d = build_domain(p)
-    a_halves, b_halves = _induced_blocks(d, blocks)
     reference = np.array([induced_permutation(f, d) for f in enumerate_aut(p)])
     assert np.array_equal(np.repeat(a_halves, n, axis=0), reference[:, :n])
     assert np.array_equal(b_halves, reference[:, n:] - n)
@@ -188,26 +223,21 @@ _CLASS_6 = (GroupElement(3, 0, 1), GroupElement(3, 3, 3))
 def test_induced_blocks_refuse_broken_b_classes(moved, into, refusal):
     """The B class 6 = {a^0 b, a^3 b^3} at p = 3, with one member relabelled
     into the B class 7, or both into the A class 0, or both into class 7."""
-    d = build_domain(3)
-    class_of = list(d.class_of_element)
+    broken = class_table(3).copy()
     for g in moved:
-        class_of[element_index(g)] = into
-    broken = Domain(3, d.classes, tuple(class_of))
+        broken[element_index(g)] = into
     with pytest.raises(ArithmeticError, match=rf"^sigma\(1,0\) {refusal}"):
-        _induced_blocks(broken, [(SIGMA, 1)])
+        _induced_blocks(class_members(3), broken, [(SIGMA, 1)])
 
 
 def test_a_split_b_class_is_refused_while_every_row_permutes():
     """Class 6 listed as {a^0 b, a^4 b^3}: its second member goes to class 7
     under sigma(1,0), while the first members' images, the B-halves, still
     permute the B classes under every beta."""
-    d = build_domain(3)
-    classes = list(d.classes)
-    members = frozenset({GroupElement(3, 0, 1), GroupElement(3, 4, 3)})
-    classes[6] = replace(classes[6], members=members)
-    broken = Domain(3, tuple(classes), d.class_of_element)
+    broken = class_members(3).copy()
+    broken[6] = [element_index(GroupElement(3, 0, 1)), element_index(GroupElement(3, 4, 3))]
     with pytest.raises(ArithmeticError, match=r"^sigma\(1,0\) splits class a\^0 b\^1"):
-        _induced_blocks(broken, [(SIGMA, 1)])
+        _induced_blocks(broken, class_table(3), [(SIGMA, 1)])
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 30])
@@ -217,7 +247,7 @@ def test_the_first_broken_block_is_refused(budget, monkeypatch):
     monkeypatch.setattr("cayley8p.domain._BLOCK_IMAGES", budget)
     blocks = [(SIGMA, 1), (SIGMA, 3), (SIGMA, 2)]
     with pytest.raises(ArithmeticError, match=r"^sigma\(3,0\) does not act bijectively"):
-        _induced_blocks(build_domain(3), blocks)
+        _induced_blocks(*_layout(3), blocks)
 
 
 def test_induced_action_examples():
@@ -317,17 +347,15 @@ def test_half_row_cycle_types_equal_whole_row_counts(p):
 
 
 def test_a_map_across_the_blocks_is_refused_before_any_counting(monkeypatch):
-    d = build_domain(3)
-    class_of = list(d.class_of_element)
-    class_of[class_of.index(5)] = 6  # a^3, the singleton A class, relabelled into B
+    crossed = class_table(3).copy()
+    crossed[crossed == 5] = 6  # a^3, the singleton A class, relabelled into B
     counted = []
 
     def spy(rows):
         counted.append(len(rows))
         return cycle_counts(rows)
 
-    crossed = Domain(3, d.classes, tuple(class_of))
-    monkeypatch.setattr("cayley8p.domain.build_domain", lambda p: crossed)
+    monkeypatch.setattr("cayley8p.domain.class_table", lambda p: crossed)
     monkeypatch.setattr("cayley8p.domain.induced_halves", induced_halves.__wrapped__)
     monkeypatch.setattr("cayley8p.domain.cycle_counts", spy)
     with pytest.raises(ArithmeticError, match="across the A and B blocks"):

@@ -5,14 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from independent_model import apply_perm_to_mask
 from cayley8p import kernels
 from cayley8p.domain import induced_permutations
-from cayley8p.kernels import (
-    apply_perm_to_mask,
-    bit_tables,
-    sweep_minimal_count,
-    sweep_minimal_masks,
-)
+from cayley8p.kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
 from cayley8p.modular import units_mod
 
 # C3 rotation on 3 bits: orbits are {000}, {111}, weight-1, weight-2

@@ -16,19 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import independent_model as im
+from independent_model import apply_perm_to_mask
 from cayley8p import oracle
 from cayley8p.domain import (
     KIND_A2,
     KIND_AP,
     KIND_B,
-    Domain,
     build_domain,
+    class_table,
     distinct_rows,
     induced_halves,
     induced_permutations,
 )
 from cayley8p.group import GroupElement, element_index
-from cayley8p.kernels import apply_perm_to_mask, sweep_minimal_count, sweep_minimal_masks
+from cayley8p.kernels import sweep_minimal_count, sweep_minimal_masks
 from cayley8p.oracle import (
     build_cayley_graph,
     burnside_count,
@@ -184,13 +185,11 @@ def test_p7_sweep_equals_burnside(monkeypatch):
 
 
 def test_a_map_across_the_blocks_is_refused_before_any_sweep(monkeypatch):
-    d = build_domain(5)
-    class_of = list(d.class_of_element)
-    class_of[class_of.index(9)] = 10  # a^5, the singleton A class, relabelled into B
+    crossed = class_table(5).copy()
+    crossed[crossed == 9] = 10  # a^5, the singleton A class, relabelled into B
     swept = []
     monkeypatch.setattr(oracle, "_reps_cache", {})
-    crossed = Domain(5, d.classes, tuple(class_of))
-    monkeypatch.setattr("cayley8p.domain.build_domain", lambda p: crossed)
+    monkeypatch.setattr("cayley8p.domain.class_table", lambda p: crossed)
     monkeypatch.setattr(oracle, "induced_halves", induced_halves.__wrapped__)
     monkeypatch.setattr(oracle, "sweep_minimal_masks", lambda *a, **k: swept.append(a))
     with pytest.raises(ArithmeticError, match="across the A and B blocks"):
