@@ -16,9 +16,12 @@ Objects appear only in build_domain(p), their view for the API and tests.
 Automorphisms permute these classes.  induced_halves(p) holds the action
 of all 4p(p-1) maps as distinct A- and B-half-rows, and each map's row
 among them: at p = 31 the 3720 maps have 30 distinct A-halves and 1860
-distinct B-halves.  cycle_types(p) counts the cycles of each distinct
-half-row once, in numpy, by pointer jumping (cycle_counts), and joins the
-two halves' types once per distinct pair of them.  Burnside, the
+distinct B-halves.  cycle_types(p) types the distinct half-rows with
+cycle_counts and joins the two halves' types once per distinct pair of
+them.  cycle_counts reads only its rows: rows whose difference sequences
+pi(x) - x are rotations of each other are conjugate by a translation and
+share a type, so it pointer-jumps one row per such class, in numpy (the
+1860 B-halves at p = 31 fall into 120 classes).  Burnside, the
 brute-force cycle index, the verify check and the orbit sweep read the
 halves; induced_permutations(p) assembles whole rows for other callers.
 cycle_type_of decomposes one permutation in Python and stays as the
@@ -44,7 +47,7 @@ from functools import lru_cache
 from typing import NoReturn
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .autos import SIGMA, Automorphism, aut_blocks, apply
 from .group import GroupElement, all_elements, element_index
@@ -57,7 +60,7 @@ KIND_B = "B"
 
 _INT16_MAX = np.iinfo(np.int16).max
 _BLOCK_IMAGES = 1 << 16  # class member images per pass of _induced_blocks
-_CYCLE_CHUNK = 256  # rows per pointer-jumping pass
+_CYCLE_CHUNK = 1024  # rows per pass of _translation_keys and _count_cycles
 
 # a monomial is a tuple of (variable index, exponent) pairs, ascending by index
 Monomial = tuple[tuple[int, int], ...]
@@ -264,9 +267,9 @@ def check_array_memory(p: int) -> None:
     """Refuse a p with more classes than an int16 index holds, then a p
     whose int16 permutation array, 4p(p-1) by 4p, would take more than a
     quarter of physical memory.  No genuine count builds that array:
-    induced_halves and cycle_types peak at 1.32 times its size at p = 101
+    induced_halves and cycle_types peak at 1.29 times its size at p = 101
     (tracemalloc), and induced_permutations, which assembles it from the
-    halves, at 1.80 times, so both stay under half."""
+    halves, at 1.77 times, so both stay under half."""
     _check_int16_classes(p)
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
     memory = _physical_memory()
@@ -319,20 +322,75 @@ def induced_permutations(p: int) -> np.ndarray:
 
 
 def cycle_counts(perms) -> tuple[tuple[Monomial, ...], np.ndarray]:
-    """Cycle types of the rows of a permutation array, by pointer jumping.
+    """Cycle types of the rows of a permutation array, one row per
+    translation class decomposed by pointer jumping.
 
     Returns (types, ids): the distinct cycle types of the rows as
     monomials, in order of first occurrence, and a read-only intp array
-    with types[ids[i]] the type of row i.  Each point finds the least point
-    of its cycle in (n-1).bit_length() rounds of M = min(M, M[J]); J = J[J];
-    the points that are their own least point lead one cycle each, and the
-    cycle sizes are the numbers of points per leader.
+    with types[ids[i]] the type of row i.  Rows with equal
+    _translation_keys are conjugate, so they share a type: the rows are
+    grouped by key, in order of first occurrence, and only the first row of
+    each group is decomposed by _count_cycles.
     """
     perms = np.asarray(perms)
     rows, n = perms.shape
     if n > _INT16_MAX:
         raise ValueError(f"{n} points per row: a cycle count must fit in int16")
-    counts = np.zeros((rows, n), dtype=np.int16)  # counts[i, k - 1]: k-cycles of row i
+    keys, group = distinct_rows(_translation_keys(perms))
+    # group g first occurs where the running maximum of the group ids reaches g
+    first = np.searchsorted(np.maximum.accumulate(group), np.arange(len(keys)))
+    distinct, group_types = distinct_rows(_count_cycles(perms[first]))
+    ids = group_types[group]
+    ids.flags.writeable = False
+    types = tuple(tuple((k, c) for k, c in enumerate(row, 1) if c) for row in distinct.tolist())
+    return types, ids
+
+
+def _translation_keys(perms: np.ndarray) -> np.ndarray:
+    """A conjugacy key per row of a permutation array on Z_n, as uint16.
+
+    Row pi has the difference sequence d(x) = pi(x) - x mod n.  Its
+    conjugate by the translation x -> x + g has the sequence d(x - g), a
+    rotation of d, and a row whose d is a rotation of pi's is such a
+    conjugate.  The key is d rotated left to start at its first minimum, so
+    rows with equal keys are conjugate and have one cycle type.  A d with
+    several minima may give a conjugate another key: that only splits a
+    group.
+    """
+    rows, n = perms.shape
+    keys = np.empty((rows, n), dtype=np.uint16)
+    if not n:  # an empty row has no minimum; all such rows are equal
+        return keys
+    identity = np.arange(n, dtype=np.int16)
+    for lo in range(0, rows, _CYCLE_CHUNK):
+        chunk = perms[lo : lo + _CYCLE_CHUNK].astype(np.int16, copy=False)
+        r = len(chunk)
+        tiled = np.empty((r, 2, n), dtype=np.uint16)  # each row's d, twice
+        delta = tiled[:, 0]
+        # as uint16 a negative pi(x) - x = -k wraps to 2^16 - k, and adding n
+        # wraps it to n - k, while a non-negative one only grows by n
+        np.subtract(chunk, identity, out=delta.view(np.int16))
+        np.minimum(delta, delta + n, out=delta)
+        tiled[:, 1] = delta
+        # window [i, s] is d of row i rotated left by s: it reads items s .. s+n-1
+        # of that row's 2n, so it stays inside the row
+        item = tiled.itemsize
+        windows = as_strided(tiled, (r, n, n), (tiled.strides[0], item, item), writeable=False)
+        keys[lo : lo + r] = windows[np.arange(r), delta.argmin(axis=1)]
+    return keys
+
+
+def _count_cycles(perms: np.ndarray) -> np.ndarray:
+    """The cycle counts of each row of a permutation array, as an int16 array
+    with [i, k - 1] the number of k-cycles of row i.
+
+    Each point finds the least point of its cycle in (n-1).bit_length()
+    rounds of M = min(M, M[J]); J = J[J]; the points that are their own
+    least point lead one cycle each, and the cycle sizes are the numbers of
+    points per leader.
+    """
+    rows, n = perms.shape
+    counts = np.zeros((rows, n), dtype=np.int16)
     for lo in range(0, rows, _CYCLE_CHUNK):
         chunk = perms[lo : lo + _CYCLE_CHUNK]
         r = len(chunk)
@@ -348,10 +406,7 @@ def cycle_counts(perms) -> tuple[tuple[Monomial, ...], np.ndarray]:
         counts[lo : lo + r] = np.bincount(
             leaders // n * n + sizes - 1, minlength=r * n
         ).reshape(r, n)
-    distinct, ids = distinct_rows(counts)
-    ids.flags.writeable = False
-    types = tuple(tuple((k, c) for k, c in enumerate(row, 1) if c) for row in distinct.tolist())
-    return types, ids
+    return counts
 
 
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

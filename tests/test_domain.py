@@ -7,6 +7,8 @@ genuinely disagree for some units; those disagreements are frozen here as
 facts, not patched.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from cayley8p.domain import (
     KIND_AP,
     KIND_B,
     _BLOCK_IMAGES,
+    _count_cycles,
     _induced_blocks,
     a2_labels,
     build_domain,
@@ -419,6 +422,89 @@ def test_cycle_counts_match_cycle_type_of_on_drawn_permutations(drawn):
         assert sum(k * e for k, e in t) == n
     assert ids.dtype == np.intp
     assert not ids.flags.writeable
+
+
+@st.composite
+def conjugated_rows(draw):
+    """Drawn permutations of range(n), n from 1 to 40, and affine rows x ->
+    u x + c mod n, then conjugates t pi t^-1 of drawn rows pi by drawn
+    translations t(x) = x + g mod n, then a copy of one row with two images
+    swapped.  At a prime n every affine row with u != 1 has a difference
+    sequence that lists 0 .. n-1 once, while units of other orders give other
+    cycle types: a key that forgets the order of the differences fails."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    for u in draw(st.lists(st.sampled_from(units), max_size=4)):
+        c = draw(st.integers(min_value=0, max_value=n - 1))
+        rows.append([(u * x + c) % n for x in range(n)])
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        pi = draw(st.sampled_from(rows))
+        g = draw(st.integers(min_value=0, max_value=n - 1))
+        rows.append([(pi[(x - g) % n] + g) % n for x in range(n)])
+    swapped = list(draw(st.sampled_from(rows)))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return rows + [swapped]
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjugated_rows())
+def test_translation_conjugates_share_a_type_and_nothing_else_does(rows):
+    """Rows merged by their translation keys still get each its own type."""
+    types, ids = cycle_counts(np.array(rows, dtype=np.int16))
+    assert _as_dicts(types, ids) == [cycle_type_of(tuple(r)) for r in rows]
+    # distinct, in order of first occurrence
+    assert types == tuple(dict.fromkeys(types[i] for i in ids.tolist()))
+    assert ids.dtype == np.intp
+    assert not ids.flags.writeable
+
+
+def _spy_on_pointer_jumping(monkeypatch) -> list[int]:
+    """Record the number of rows each _count_cycles call decomposes."""
+    jumped = []
+
+    def spy(perms):
+        jumped.append(len(perms))
+        return _count_cycles(perms)
+
+    monkeypatch.setattr("cayley8p.domain._count_cycles", spy)
+    return jumped
+
+
+def test_conjugates_whose_keys_differ_are_decomposed_apart(monkeypatch):
+    """The rows 0 1 3 2 and 0 2 1 3 on Z_4, the second the first conjugated
+    by x -> x + 3, have the difference sequences 0 0 1 3 and 0 1 3 0: two
+    minima one step apart, in sequences of period 4.  Their keys differ, so
+    both rows are decomposed, and both get the right type."""
+    rows = np.array([[0, 1, 3, 2], [0, 2, 1, 3]], dtype=np.int16)
+    jumped = _spy_on_pointer_jumping(monkeypatch)
+    types, ids = cycle_counts(rows)
+    assert jumped == [2]
+    assert types == (((1, 2), (2, 1)),)
+    assert ids.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("p, groups", [(31, 120), (37, 144)])
+def test_b_halves_are_decomposed_once_per_translation_class(p, groups, monkeypatch):
+    """A B-half j -> alpha j + c mod 2p has a difference sequence of period
+    p, so its translation conjugates share one key: the distinct B-halves
+    fall into 4p - 4 groups, and only one row of each is pointer-jumped."""
+    b_rows = induced_halves(p)[2]
+    assert len(b_rows) == 2 * p * (p - 1)
+    jumped = _spy_on_pointer_jumping(monkeypatch)
+    cycle_counts(b_rows)
+    assert jumped == [groups] == [4 * p - 4]
+
+
+@pytest.mark.parametrize("p", PRIMES + (31, 37, 53))
+def test_every_distinct_half_matches_cycle_type_of(p):
+    """The merged decomposition equals the scalar one on every distinct
+    half-row: half-row against whole-row counting runs the merge on both
+    sides, and this check does not."""
+    a_rows, _, b_rows, _ = induced_halves(p)
+    for rows in (a_rows, b_rows):
+        assert _as_dicts(*cycle_counts(rows)) == [cycle_type_of(tuple(r)) for r in rows.tolist()]
 
 
 def test_cycle_type_of_basics():

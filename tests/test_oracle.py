@@ -54,6 +54,8 @@ BURNSIDE_LARGE = {
     23: 2447736832842339430672128,
     31: 5717284381888519072422401313709056,
     37: 66969460322208593711473542310152237412480,
+    53: 597062620406808391161964113129627694560323915932673343835392,
+    101: 1022673219044321141843380262330357605367700299023833660459437297817553584091921788974876365058950562324741808126920448,
 }
 
 
