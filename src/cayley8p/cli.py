@@ -30,7 +30,7 @@ from collections.abc import Iterable
 from functools import cache
 from math import log10
 
-from . import oracle, polya
+from . import polya
 from .autos import aut_blocks
 from .domain import closed_form_cycle_types, render_cycle_type
 from .modular import check_odd_prime
@@ -172,7 +172,7 @@ _STATUS_TAG = {"pass": "PASS", "fail": "FAIL", "flagged": "FLAG"}
 
 
 def cmd_verify(args) -> int:
-    report = build_verification_report(args.p, args.level, args.max_oracle_p)
+    report = build_verification_report(args.p, args.level)
     exit_status = 1 if report.failed else 0
     if args.format == "json":
         payload = {
@@ -302,13 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="consistency checks and oracles")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
-    sp.add_argument(
-        "--max-oracle-p",
-        type=int,
-        default=oracle.DEFAULT_ORACLE_CAP,
-        help="cap for exhaustive sweeps (default 5; p=7 takes under half a second; "
-        "no cap goes past 7)",
-    )
     sp.add_argument(
         "--workers",
         type=_workers,

@@ -75,6 +75,8 @@ def units_mod(n: int) -> list[int]:
 
 def mult_order(u: int, modulus: int) -> int:
     """Least m >= 1 with u^m = 1 (mod modulus)."""
+    if modulus < 2:
+        raise ValueError(f"mult_order requires modulus >= 2, got {modulus}")
     if gcd(u, modulus) != 1:
         raise ValueError(f"{u} is not a unit mod {modulus}")
     m = 1

@@ -15,10 +15,10 @@ B classes are the high bits of a mask.  So the least mask of an orbit is
 its least B-part b followed by the least A-part under the maps that fix
 b: one sweep of the 2^{2p} B-masks, then one sweep of the 2^{2p} A-masks
 per distinct stabilizer.  The representatives are kept and both the
-orbit count and the census read them.  They are capped at p <= 5 by
-default; pass a larger cap explicitly to run p = 7 (2111232
-representatives).  No cap goes past p = 7: they are held as one int64
-mask per orbit, and p = 11 has at least 2^44/440, about 4.0e10, orbits.
+orbit count and the census read them.  They run at every p up to 7
+(2111232 representatives at p = 7) and at no larger p: they are held as
+one int64 mask per orbit, and p = 11 has at least 2^44/440, about 4.0e10,
+orbits.
 """
 
 from dataclasses import dataclass
@@ -30,11 +30,12 @@ from .group import mul_table
 from .kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
 
-DEFAULT_ORACLE_CAP = 5
 _HELD_REPS_MAX_P = 7  # one int64 mask per orbit; p = 11 has >= 2^44/440 orbits
 
 
-def check_cap(p: int, cap: int) -> None:
+def check_cap(p: int) -> None:
+    """Refuse, with ValueError, a p whose orbit representatives the exhaustive
+    oracles cannot hold: every p above _HELD_REPS_MAX_P."""
     check_odd_prime(p)
     if p > _HELD_REPS_MAX_P:
         aut_order = 4 * p * (p - 1)
@@ -43,12 +44,6 @@ def check_cap(p: int, cap: int) -> None:
             f"exhaustive oracles need p <= {_HELD_REPS_MAX_P}: they hold one int64 mask "
             f"per orbit, and p={p} has at least 2^{4 * p}/{aut_order}, more than 2^{bits}, "
             f"orbits (more than 2^{bits - 27} GiB)"
-        )
-    if p > cap:
-        raise ValueError(
-            f"exhaustive sweep at p={p} exceeds the cap {cap}: 2^{2 * p} B-masks, "
-            f"then 2^{2 * p} A-masks per distinct stabilizer; raise the cap explicitly "
-            f"to proceed"
         )
 
 
@@ -75,25 +70,17 @@ def burnside_count(p: int) -> int:
     return total // aut_order
 
 
-def orbit_partition_count(p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1) -> int:
+def orbit_partition_count(p: int) -> int:
     """Exhaustive orbit count: the number of masks minimal within their orbit."""
-    return len(orbit_representatives(p, cap=cap, workers=workers))
+    return len(orbit_representatives(p))
 
 
 _reps_cache: dict[int, np.ndarray] = {}
 
 
-def orbit_representatives(
-    p: int, cap: int = DEFAULT_ORACLE_CAP, workers: int = 1
-) -> np.ndarray:
-    """One minimal mask per orbit, ascending; swept once per p, read-only.
-
-    `workers` is checked to be at least 1, before the cache is read, and
-    otherwise unused: every sweep runs on the calling thread.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    check_cap(p, cap)
+def orbit_representatives(p: int) -> np.ndarray:
+    """One minimal mask per orbit, ascending; swept once per p, read-only."""
+    check_cap(p)
     if p not in _reps_cache:
         reps = _two_level_sweep(*induced_halves(p))
         reps.flags.writeable = False
@@ -224,11 +211,11 @@ def _connected_flags(p: int, masks) -> np.ndarray:
 _census_cache: dict[int, tuple[int, int, int]] = {}
 
 
-def _classify_orbits(p: int, cap: int) -> tuple[int, int, int]:
+def _classify_orbits(p: int) -> tuple[int, int, int]:
     """(connected, disconnected_a_only, disconnected_b_touching) orbit counts."""
     if p in _census_cache:
         return _census_cache[p]
-    reps = orbit_representatives(p, cap=cap)
+    reps = orbit_representatives(p)
     connected = _connected_flags(p, reps)
     b_touching = (reps >> 2 * p) != 0  # classes 2p and up hold the odd powers of b
     _census_cache[p] = (
@@ -239,16 +226,16 @@ def _classify_orbits(p: int, cap: int) -> tuple[int, int, int]:
     return _census_cache[p]
 
 
-def connected_orbit_count(p: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def connected_orbit_count(p: int) -> int:
     """Orbits whose representative generates the whole group (graph connected)."""
-    check_cap(p, cap)
-    return _classify_orbits(p, cap)[0]
+    check_cap(p)
+    return _classify_orbits(p)[0]
 
 
-def disconnected_census(p: int, cap: int = DEFAULT_ORACLE_CAP) -> dict[str, int]:
+def disconnected_census(p: int) -> dict[str, int]:
     """Disconnected orbits split by whether the set touches the odd-power block."""
-    check_cap(p, cap)
-    _, a_only, b_touching = _classify_orbits(p, cap)
+    check_cap(p)
+    _, a_only, b_touching = _classify_orbits(p)
     return {"a_only_orbits": a_only, "b_touching_orbits": b_touching}
 
 

@@ -77,15 +77,13 @@ class VerificationReport:
         return [c for c in self.checks if isinstance(c, Comparison)]
 
 
-def build_verification_report(
-    p: int, level: str, cap: int = oracle.DEFAULT_ORACLE_CAP
-) -> VerificationReport:
+def build_verification_report(p: int, level: str) -> VerificationReport:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level!r}")
     check_odd_prime(p)
     check_array_memory(p)  # refusals first, before any work
     if level == "full":
-        oracle.check_cap(p, cap)
+        oracle.check_cap(p)
     counts = polya.count_report(p)
     checks: list[Check | Comparison] = []
 
@@ -142,7 +140,7 @@ def build_verification_report(
     )
 
     if level == "full":
-        orbit_total = oracle.orbit_partition_count(p, cap=cap)
+        orbit_total = oracle.orbit_partition_count(p)
         add(
             "orbit_partition_vs_burnside",
             orbit_total == burnside,
@@ -150,10 +148,10 @@ def build_verification_report(
         )
         compare("n_total", "orbit_partition", orbit_total)
         compare("n_circulant", "oracle_circulant", oracle.circulant_orbit_count(p))
-        connected = oracle.connected_orbit_count(p, cap=cap)
+        connected = oracle.connected_orbit_count(p)
         compare("n_connected", "oracle_connected", connected)
 
-        census = oracle.disconnected_census(p, cap=cap)
+        census = oracle.disconnected_census(p)
         a_only = census["a_only_orbits"]
         b_touching = census["b_touching_orbits"]
         add(

@@ -205,12 +205,6 @@ def test_verify_workers_do_not_change_output(capsys):
     assert base == threaded
 
 
-def test_verify_respects_oracle_cap(capsys):
-    status = main(["verify", "--p", "7", "--level", "full"])
-    assert status == 2
-    assert "cap" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_verify_rejects_fewer_than_one_worker(capsys, workers):
     for level in ("full", "quick"):
@@ -229,18 +223,20 @@ def test_verify_rejects_a_non_integer_worker_count(capsys):
 
 def test_verify_p7_prints_the_readme_block(capsys, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    command = "$ cayley8p verify --p 7 --level full --max-oracle-p 7\n"
+    command = "$ cayley8p verify --p 7 --level full\n"
     block = readme[readme.index(command) + len(command) :].split("```", 1)[0]
     monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
     monkeypatch.setattr(oracle, "_census_cache", {})
-    assert main(["verify", "--p", "7", "--level", "full", "--max-oracle-p", "7"]) == 0
+    assert main(["verify", "--p", "7", "--level", "full"]) == 0
     assert capsys.readouterr().out == block
 
 
-def test_verify_refuses_p_beyond_the_census_limit(capsys):
-    status = main(["verify", "--p", "11", "--level", "full", "--max-oracle-p", "11"])
-    assert status == 2
-    assert "p <= 7" in capsys.readouterr().err
+def test_verify_refuses_p_beyond_the_census_limit(capsys, monkeypatch):
+    _refuse_quick_work(monkeypatch)
+    assert main(["verify", "--p", "11", "--level", "full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need p <= 7" in captured.err
 
 
 def _refuse_quick_work(monkeypatch):

@@ -81,6 +81,13 @@ def test_mult_order_naive_cross_check():
         mult_order(2, 10)
 
 
+@pytest.mark.parametrize("modulus", [1, 0, -5])
+def test_mult_order_refuses_a_modulus_below_two(modulus):
+    """u % 1 is 0, so the search for u^m = 1 would never end; 0 would divide by zero."""
+    with pytest.raises(ValueError, match=f"modulus >= 2, got {modulus}"):
+        mult_order(3, modulus)
+
+
 def test_primitive_root_is_smallest_generator():
     assert {p: primitive_root_2p(p) for p in (3, 5, 7, 11, 13)} == {
         3: 5,

@@ -71,7 +71,7 @@ def test_genuine_totals_frozen_above_the_tested_primes():
 
 def test_orbit_partition_matches_burnside():
     assert orbit_partition_count(3) == burnside_count(3) == 624
-    assert orbit_partition_count(5, workers=2) == burnside_count(5) == 25152
+    assert orbit_partition_count(5) == burnside_count(5) == 25152
 
 
 def test_orbit_partition_matches_independent_model():
@@ -92,14 +92,28 @@ def test_representatives_are_orbit_minima():
 
 
 def test_cap_refuses_large_p():
-    with pytest.raises(ValueError):
-        orbit_partition_count(7)
-    with pytest.raises(ValueError):
-        orbit_representatives(7)
-    with pytest.raises(ValueError):
-        connected_orbit_count(7)
-    with pytest.raises(ValueError):
-        disconnected_census(7)
+    """The first prime above the held limit is refused by all four oracles."""
+    with pytest.raises(ValueError, match="p <= 7"):
+        orbit_partition_count(11)
+    with pytest.raises(ValueError, match="p <= 7"):
+        orbit_representatives(11)
+    with pytest.raises(ValueError, match="p <= 7"):
+        connected_orbit_count(11)
+    with pytest.raises(ValueError, match="p <= 7"):
+        disconnected_census(11)
+
+
+def test_p7_sweep_equals_burnside(monkeypatch):
+    """p = 7, the largest p whose representatives are held, needs no option."""
+    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
+    assert orbit_partition_count(7) == burnside_count(7) == 2111232
+
+
+def test_p7_is_held_with_p_alone(monkeypatch):
+    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
+    monkeypatch.setattr(oracle, "_census_cache", {})
+    assert connected_orbit_count(7) == 2108120
+    assert disconnected_census(7) == {"a_only_orbits": 3104, "b_touching_orbits": 8}
 
 
 def test_p_beyond_the_bitset_limit_is_refused_before_any_sweep(monkeypatch):
@@ -113,7 +127,7 @@ def test_p_beyond_the_bitset_limit_is_refused_before_any_sweep(monkeypatch):
             disconnected_census,
         ):
             with pytest.raises(ValueError, match="p <= 7"):
-                fn(p, cap=p)
+                fn(p)
     assert swept == []
 
 
@@ -122,7 +136,7 @@ def test_cap_refusal_is_worded_in_integers(p):
     """2^{4p}/|Aut| is too large for a float from p = 263 on."""
     bound = rf"p={p} has at least 2\^{4 * p}/{4 * p * (p - 1)}, more than 2\^\d+, orbits"
     with pytest.raises(ValueError, match=rf"need p <= 7: .*{bound}"):
-        oracle.check_cap(p, 5)
+        oracle.check_cap(p)
 
 
 def test_representatives_are_swept_once_per_p(monkeypatch):
@@ -141,49 +155,31 @@ def test_representatives_are_swept_once_per_p(monkeypatch):
     swept = len(calls)
     assert swept
     reps = orbit_representatives(3)
-    for workers in (1, 2, 4, 65536):
-        assert orbit_representatives(3, workers=workers) is reps
-        assert orbit_partition_count(3, workers=workers) == 624
+    assert orbit_representatives(3) is reps
+    assert orbit_partition_count(3) == 624
     assert len(calls) == swept
     assert list(oracle._reps_cache) == [3]
 
 
 @pytest.mark.parametrize("workers", [0, -5])
-def test_fewer_than_one_worker_is_refused_cold_and_warm(workers, monkeypatch):
-    """The check comes before the p-keyed cache is read, so a cached p is
-    refused as well as a cold one."""
+def test_fewer_than_one_worker_is_refused_cold_and_warm(workers):
+    """A sweep that has run at workers=1 still refuses fewer than one worker."""
     perms = induced_permutations(3)
-    calls = [
-        lambda w: orbit_representatives(3, workers=w),
-        lambda w: orbit_partition_count(3, workers=w),
-        lambda w: sweep_minimal_count(perms, workers=w),
-    ]
-    monkeypatch.setattr(oracle, "_reps_cache", {})
-    for call in calls:
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            call(workers)
-    assert oracle._reps_cache == {}
-    for call in calls:
-        call(1)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            call(workers)
-    assert list(oracle._reps_cache) == [3]
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        sweep_minimal_count(perms, workers=workers)
+    assert sweep_minimal_count(perms, workers=1) == 624
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        sweep_minimal_count(perms, workers=workers)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_representatives_equal_the_flat_sweep(p, monkeypatch):
     monkeypatch.setattr(oracle, "_reps_cache", {})
     flat = sweep_minimal_masks(induced_permutations(p))
-    for workers in (1, 2, 4):
-        oracle._reps_cache.pop(p, None)  # re-sweep: a cached array would only equal itself
-        reps = orbit_representatives(p, workers=workers)
-        assert reps.dtype == flat.dtype
-        assert reps.tobytes() == flat.tobytes()
-
-
-def test_p7_sweep_equals_burnside(monkeypatch):
-    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
-    assert orbit_partition_count(7, cap=7) == burnside_count(7) == 2111232
+    oracle._reps_cache.pop(p, None)  # re-sweep: a cached array would only equal itself
+    reps = orbit_representatives(p)
+    assert reps.dtype == flat.dtype
+    assert reps.tobytes() == flat.tobytes()
 
 
 def test_a_map_across_the_blocks_is_refused_before_any_sweep(monkeypatch):
@@ -258,15 +254,11 @@ def test_census_counts_match_independent_model(monkeypatch):
     assert counts == im.census(3)
 
 
-def test_census_frozen_values(monkeypatch):
+def test_census_frozen_values():
     assert connected_orbit_count(3) == 568
     assert disconnected_census(3) == {"a_only_orbits": 48, "b_touching_orbits": 8}
     assert connected_orbit_count(5) == 24808
     assert disconnected_census(5) == {"a_only_orbits": 336, "b_touching_orbits": 8}
-    monkeypatch.setattr(oracle, "_reps_cache", {})  # drop the 2.1 M representatives afterwards
-    monkeypatch.setattr(oracle, "_census_cache", {})
-    assert connected_orbit_count(7, cap=7) == 2108120
-    assert disconnected_census(7, cap=7) == {"a_only_orbits": 3104, "b_touching_orbits": 8}
 
 
 def _class_mask(p, keep):
