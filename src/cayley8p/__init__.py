@@ -9,7 +9,25 @@ averaging and exhaustive orbit sweeps).  The oracle side is the ground
 truth; the closed forms overstate some orbit lengths on the paired
 a-power classes, and every disagreement between the two sides is
 computed and reported side by side rather than hidden (see verify).
+
+The package calls no BLAS routine, yet OpenBLAS starts worker threads
+when numpy loads, and an idle worker busy-waits on a free core for tens
+of milliseconds, doubling the CPU time of a short command.  So unless
+numpy is already loaded or the caller has set OPENBLAS_NUM_THREADS,
+numpy is loaded here with one BLAS thread.  OpenBLAS reads the variable
+once, when it loads; it is removed again so that child processes do not
+inherit it.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .group import GroupElement, all_elements, element_order, identity, inv, mul
 from .autos import Automorphism, apply, compose, enumerate_aut

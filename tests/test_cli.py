@@ -446,6 +446,44 @@ def test_full_verify_never_imports_numpy_ma():
     assert proc.stderr == b"False 0\n"
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+    reason="OpenBLAS starts no worker thread on one CPU; threads are counted in /proc",
+)
+@pytest.mark.parametrize(
+    "caller_sets, first, threads, variable",
+    [
+        (None, "", [1], None),
+        ("2", "", [2], "2"),
+        # numpy loaded by the caller keeps OpenBLAS's own count, up to one per CPU
+        (None, "import numpy\n", range(2, (os.cpu_count() or 1) + 1), None),
+    ],
+    ids=["unset", "set-by-caller", "numpy-first"],
+)
+def test_import_loads_numpy_with_one_blas_thread(caller_sets, first, threads, variable):
+    """An idle OpenBLAS worker spins on a free core; the package calls no BLAS
+    routine, so importing it loads numpy with one BLAS thread, unless the
+    caller chose a count or loaded numpy first, and leaves os.environ as it was."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(domain.__file__).resolve().parents[1])
+    if caller_sets is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_sets
+    script = first + (
+        "import json, os\n"
+        "before = dict(os.environ)\n"
+        "import cayley8p\n"
+        "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+        "                  os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, check=True
+    )
+    n_threads, seen, unchanged = json.loads(proc.stdout)
+    assert n_threads in threads
+    assert seen == variable
+    assert unchanged
+
+
 def test_report_object_shape():
     report = build_verification_report(3, "quick")
     assert not report.failed
