@@ -3,11 +3,11 @@
 Nothing here relies on closed-form cycle types or the assembled cycle
 index: orbit counts come from Burnside averaging over brute-force
 decompositions or from exhaustive minimal-mask sweeps; connectivity
-comes from breadth-first search over the multiplication table (a scalar
-search per graph in `is_connected`; in the census, the same search finds
-the maximal subgroups by brute force, and a mask is connected iff it lies
-inside none of them); the circulant count comes from a direct orbit scan
-over subsets of the cyclic group of order 2p.
+comes from breadth-first search over the multiplication table in
+`is_connected`, one scalar search per graph, and in the census from the
+p + 1 maximal subgroups, written from the class layout: a mask is
+connected iff it lies inside none of them; the circulant count comes
+from a direct orbit scan over subsets of the cyclic group of order 2p.
 
 Exhaustive sweeps run once per p, in two levels.  Every automorphism
 keeps the A block and the B block (see domain.induced_halves), and the
@@ -171,31 +171,17 @@ def _reached(table, selected) -> list[int]:
 
 
 def _maximal_subgroups(p: int) -> list[int]:
-    """The maximal subgroups of T as class masks, ascending, by brute force.
-
-    A subgroup is closed under inverses, so without the identity it is a
-    union of classes.  Every subgroup is a join of cyclic ones, so joining
-    the cyclic subgroups <class c> onto what has been found until nothing
-    new appears finds them all.  The maximal ones are the proper subgroups
-    inside no other proper subgroup.
+    """The p + 1 maximal subgroups of T as class masks, ascending, read off
+    the class layout: <a, b^2>, which is the A block, and the p Sylow
+    2-subgroups S_j = <a^j b>, j < p.  Without the identity, S_j is made of
+    the classes of b^2, a^p, a^j b and a^{j+p} b (element indices 4p, p,
+    2p + j and 3p + j).  The tests check them against a join closure of
+    the cyclic subgroups over the multiplication table.
     """
+    n = 2 * p
     class_of = class_table(p).tolist()
-    table = mul_table(p)
-
-    def generated(mask: int) -> int:
-        out = 0
-        for v in _reached(table, _elements(class_of, mask))[1:]:
-            out |= 1 << class_of[v]
-        return out
-
-    cyclic = {generated(1 << c) for c in range(4 * p)}
-    found = set(cyclic)
-    new = cyclic
-    while new:
-        new = {generated(h | c) for h in new for c in cyclic if c & ~h} - found
-        found |= new
-    proper = found - {(1 << 4 * p) - 1}
-    return sorted(h for h in proper if not any(h != k and (h & ~k) == 0 for k in proper))
+    sylows = [sum(1 << class_of[e] for e in (2 * n, p, n + j, n + p + j)) for j in range(p)]
+    return sorted([(1 << n) - 1, *sylows])
 
 
 def _connected_flags(p: int, masks) -> np.ndarray:

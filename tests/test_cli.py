@@ -712,6 +712,16 @@ def test_no_command_builds_objects_per_element_or_per_map(argv, capsys, monkeypa
     assert all(n <= 4 * p for (_, p), n in built.items()), built
 
 
+def test_full_verify_never_builds_the_multiplication_table(capsys, monkeypatch):
+    """The census reads its maximal subgroups off the class layout; only the
+    API's is_connected and build_cayley_graph, which no command calls, need
+    group.mul_table."""
+    _clear_every_cache(monkeypatch)
+    assert main(["verify", "--p", "5", "--level", "full"]) == 0
+    assert capsys.readouterr().out
+    assert group.mul_table.cache_info().misses == 0
+
+
 def test_two_main_calls_build_the_parser_once(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

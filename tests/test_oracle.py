@@ -28,7 +28,7 @@ from cayley8p.domain import (
     induced_halves,
     induced_permutations,
 )
-from cayley8p.group import GroupElement, element_index
+from cayley8p.group import GroupElement, element_index, mul_table
 from cayley8p.kernels import sweep_minimal_count, sweep_minimal_masks
 from cayley8p.oracle import (
     build_cayley_graph,
@@ -265,25 +265,64 @@ def _class_mask(p, keep):
     return sum(1 << c for c, cls in enumerate(build_domain(p).classes) if keep(cls))
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def _join_closure_maximal_subgroups(p):
+    """The maximal subgroups of T as class masks, ascending, by brute force.
+
+    A subgroup is closed under inverses, so without the identity it is a
+    union of classes.  Every subgroup is a join of cyclic ones, so joining
+    the cyclic subgroups <class c> onto what has been found until nothing
+    new appears finds them all.  The maximal ones are the proper subgroups
+    inside no other proper subgroup.
+    """
+    class_of = class_table(p).tolist()
+    table = mul_table(p)
+
+    def generated(mask):
+        selected = [e for e, c in enumerate(class_of) if c >= 0 and mask >> c & 1]
+        out = 0
+        for v in oracle._reached(table, selected)[1:]:
+            out |= 1 << class_of[v]
+        return out
+
+    cyclic = {generated(1 << c) for c in range(4 * p)}
+    found = set(cyclic)
+    new = cyclic
+    while new:
+        new = {generated(h | c) for h in new for c in cyclic if c & ~h} - found
+        found |= new
+    proper = found - {(1 << 4 * p) - 1}
+    return sorted(h for h in proper if not any(h != k and (h & ~k) == 0 for k in proper))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
 def test_maximal_subgroups_are_the_index_2_subgroup_and_the_sylow_2_subgroups(p):
     """<a, b^2> (every class but the odd powers of b), and the p cyclic
     Sylow 2-subgroups <a^j b> = {e, a^j b, b^2, a^{-j} b^3, a^p, a^{p+j} b,
-    a^p b^2, a^{p-j} b^3}: classes A2 label 0, Ap, B_j and B_{j+p}."""
+    a^p b^2, a^{p-j} b^3}: classes A2 label 0, Ap, B_j and B_{j+p}; the
+    census's masks, written from the layout, equal the brute-force lattice's."""
     index_2 = _class_mask(p, lambda cls: cls.kind != KIND_B)
     sylow_classes = [{(KIND_A2, 0), (KIND_AP, p), (KIND_B, j), (KIND_B, j + p)} for j in range(p)]
     sylows = [_class_mask(p, lambda cls: (cls.kind, cls.label) in kept) for kept in sylow_classes]
     assert index_2 == (1 << 2 * p) - 1
-    assert oracle._maximal_subgroups(p) == sorted([index_2, *sylows])
+    closure = _join_closure_maximal_subgroups(p)
+    assert closure == sorted([index_2, *sylows])
+    assert oracle._maximal_subgroups(p) == closure
 
 
 def test_census_with_a_maximal_subgroup_dropped_disagrees_with_the_scalar_search(monkeypatch):
-    maximal = oracle._maximal_subgroups(3)
-    scalar = [is_connected(3, m) for m in range(4096)]
+    p = 3
+    maximal = oracle._maximal_subgroups(p)
+    scalar = [is_connected(p, m) for m in range(4096)]
     for dropped in maximal:
         kept = [h for h in maximal if h != dropped]
         monkeypatch.setattr(oracle, "_maximal_subgroups", lambda p: kept)
-        assert oracle._connected_flags(3, range(4096)).tolist() != scalar
+        assert oracle._connected_flags(p, range(4096)).tolist() != scalar
+    # a Sylow mask with its class B_{j+p} moved to its neighbour B_{j+p+1}
+    for j in range(p):
+        b_high, b_next = 3 * p + j, 2 * p + (j + p + 1) % (2 * p)
+        moved = [h ^ (1 << b_high | 1 << b_next) if h >> b_high & 1 else h for h in maximal]
+        monkeypatch.setattr(oracle, "_maximal_subgroups", lambda p: moved)
+        assert oracle._connected_flags(p, range(4096)).tolist() != scalar
 
 
 def test_census_partitions_the_orbits():
