@@ -10,83 +10,95 @@ truth; the closed forms overstate some orbit lengths on the paired
 a-power classes, and every disagreement between the two sides is
 computed and reported side by side rather than hidden (see verify).
 
+The closed forms (polya, with modular, group and autos) import no numpy;
+only group.mul_table and polya.cycle_index_bruteforce load it, when
+called.  The brute-force engine (domain, kernels, oracle, verify) uses
+numpy and loads as one unit: the first request for one of its modules or
+names, as an attribute of the package or by `from cayley8p import ...`,
+imports cayley8p.verify, which imports the other three.  Every other
+name in __all__, and each closed-form module, loads its own module on
+first request.  So `import cayley8p` and `import cayley8p.cli` load no
+numpy, and neither do `count`, `table` and `cycle-index --eval`.
+
 The package calls no BLAS routine, yet OpenBLAS starts worker threads
 when numpy loads, and an idle worker busy-waits on a free core for tens
 of milliseconds, doubling the CPU time of a short command.  So unless
-numpy is already loaded or the caller has set OPENBLAS_NUM_THREADS,
-numpy is loaded here with one BLAS thread.  OpenBLAS reads the variable
-once, when it loads; it is removed again so that child processes do not
-inherit it.
+numpy is already loaded or the caller has set OPENBLAS_NUM_THREADS, the
+package sets it to 1 when imported, and whoever loads numpy next, the
+package or the caller, loads it with one BLAS thread.  OpenBLAS reads the
+variable once, when it loads; the package removes it again when it loads
+numpy itself (cayley8p.domain, which every engine module imports, or
+group.mul_table), unless the caller has changed it in the meantime.
+Until then a child process inherits OPENBLAS_NUM_THREADS=1, also in a
+process that only ever runs the closed forms.
 """
 
 import os as _os
 import sys as _sys
 
-if "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ:
+_blas_window = "numpy" not in _sys.modules and "OPENBLAS_NUM_THREADS" not in _os.environ
+if _blas_window:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy as _numpy  # noqa: F401
-    finally:
+
+
+def _close_blas_window() -> None:
+    """Remove the OPENBLAS_NUM_THREADS=1 the package set; numpy has read it."""
+    global _blas_window
+    if _blas_window and _os.environ.get("OPENBLAS_NUM_THREADS") == "1":
         del _os.environ["OPENBLAS_NUM_THREADS"]
+    _blas_window = False
 
-from .group import GroupElement, all_elements, element_order, identity, inv, mul
-from .autos import Automorphism, apply, compose, enumerate_aut
-from .domain import build_domain, closed_form_cycle_type, cycle_type_of
-from .polya import (
-    CountReport,
-    count_report,
-    cycle_index_bruteforce,
-    cycle_index_closed_form,
-    n_circulant,
-    n_connected,
-    n_total,
-)
-from .oracle import (
-    build_cayley_graph,
-    burnside_count,
-    circulant_orbit_count,
-    connected_orbit_count,
-    disconnected_census,
-    hex_to_mask,
-    is_connected,
-    mask_to_hex,
-    orbit_partition_count,
-    orbit_representatives,
-    to_dot,
-)
 
-__all__ = [
-    "GroupElement",
-    "Automorphism",
-    "CountReport",
-    "all_elements",
-    "apply",
-    "build_cayley_graph",
-    "build_domain",
-    "burnside_count",
-    "circulant_orbit_count",
-    "closed_form_cycle_type",
-    "compose",
-    "connected_orbit_count",
-    "count_report",
-    "cycle_index_bruteforce",
-    "cycle_index_closed_form",
-    "cycle_type_of",
-    "disconnected_census",
-    "element_order",
-    "enumerate_aut",
-    "hex_to_mask",
-    "identity",
-    "inv",
-    "is_connected",
-    "mask_to_hex",
-    "mul",
-    "n_circulant",
-    "n_connected",
-    "n_total",
-    "orbit_partition_count",
-    "orbit_representatives",
-    "to_dot",
-]
+_ENGINE = ("domain", "kernels", "oracle", "verify")
+
+# each exported name -> the module that defines it
+_EXPORTS = {
+    "GroupElement": "group",
+    "all_elements": "group",
+    "element_order": "group",
+    "identity": "group",
+    "inv": "group",
+    "mul": "group",
+    "Automorphism": "autos",
+    "apply": "autos",
+    "compose": "autos",
+    "enumerate_aut": "autos",
+    "build_domain": "domain",
+    "closed_form_cycle_type": "domain",
+    "cycle_type_of": "domain",
+    "CountReport": "polya",
+    "count_report": "polya",
+    "cycle_index_bruteforce": "polya",
+    "cycle_index_closed_form": "polya",
+    "n_circulant": "polya",
+    "n_connected": "polya",
+    "n_total": "polya",
+    "build_cayley_graph": "oracle",
+    "burnside_count": "oracle",
+    "circulant_orbit_count": "oracle",
+    "connected_orbit_count": "oracle",
+    "disconnected_census": "oracle",
+    "hex_to_mask": "oracle",
+    "is_connected": "oracle",
+    "mask_to_hex": "oracle",
+    "orbit_partition_count": "oracle",
+    "orbit_representatives": "oracle",
+    "to_dot": "oracle",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name, name)
+    if module in _ENGINE:
+        __import__(f"{__name__}.verify")  # the engine loads as one
+    elif module not in ("group", "autos", "modular", "polya"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in python -X importtime
+    __import__(f"{__name__}.{module}")
+    loaded = _sys.modules[f"{__name__}.{module}"]
+    return loaded if module == name else getattr(loaded, name)
+
 
 __version__ = "0.1.0"

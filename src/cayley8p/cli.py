@@ -16,6 +16,12 @@ Exit status: 0 success, 1 internal inconsistency or failed verification,
 
 This module only parses arguments and renders output: counts come from
 polya, verify's checks and claimed-vs-genuine records from cayley8p.verify.
+Importing it loads no numpy, and count, table and cycle-index --eval run on
+the standard library alone.  The numpy engine loads on the first call that
+needs it: verify (through build_verification_report), cycle-types (through
+domain) and cycle-index without --eval (through the brute-force cycle
+index it compares with).
+
 cycle-types reads the closed-form cycle types as one monomial per case
 and each map's case (domain.closed_form_cycle_types), renders each case
 once and prints one run of 2p records (autos.aut_blocks) at a time, so
@@ -29,15 +35,25 @@ import sys
 from collections.abc import Iterable
 from functools import cache
 from math import log10
+from typing import TYPE_CHECKING
 
 from . import polya
 from .autos import aut_blocks
-from .domain import closed_form_cycle_types, render_cycle_type
 from .modular import check_odd_prime
-from .verify import Comparison, build_verification_report
+
+if TYPE_CHECKING:
+    from .verify import Comparison
 
 
-def _report_json(report: polya.CountReport, comparisons: list[Comparison]) -> dict:
+def build_verification_report(p: int, level: str):
+    """verify.build_verification_report, loading the engine (and numpy) on the
+    first call."""
+    from .verify import build_verification_report
+
+    return build_verification_report(p, level)
+
+
+def _report_json(report: polya.CountReport, comparisons: "list[Comparison]") -> dict:
     return {
         "p": report.p,
         "aut_order": report.aut_order,
@@ -242,6 +258,8 @@ def cmd_cycle_types(args) -> int:
     every closed_form_cycle_type, and in JSON the same bytes as
     json.dumps(records, indent=2).  A record is its run's label, beta and its
     case's rendering; each case is rendered once, each run printed at once."""
+    from .domain import closed_form_cycle_types, render_cycle_type
+
     p = check_odd_prime(args.p)
     monomials, case = closed_form_cycle_types(p)
     types = [dict(t) for t in monomials]

@@ -49,9 +49,13 @@ from typing import NoReturn
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from . import _close_blas_window
 from .autos import SIGMA, Automorphism, aut_blocks, apply
 from .group import GroupElement, all_elements, element_index
 from .modular import check_odd_prime, mult_order
+from .polya import Monomial, monomial
+
+_close_blas_window()  # numpy is loaded: OpenBLAS has read its thread count
 
 KIND_A1 = "A1"
 KIND_A2 = "A2"
@@ -61,19 +65,6 @@ KIND_B = "B"
 _INT16_MAX = np.iinfo(np.int16).max
 _BLOCK_IMAGES = 1 << 16  # class member images per pass of _induced_blocks
 _CYCLE_CHUNK = 1024  # rows per pass of _translation_keys and _count_cycles
-
-# a monomial is a tuple of (variable index, exponent) pairs, ascending by index
-Monomial = tuple[tuple[int, int], ...]
-
-
-def monomial(*pairs: tuple[int, int]) -> Monomial:
-    """Canonicalize (index, exponent) pairs: merge repeats, drop zeros, sort."""
-    merged: dict[int, int] = {}
-    for k, e in pairs:
-        if e:
-            merged[k] = merged.get(k, 0) + e
-    return tuple(sorted(merged.items()))
-
 
 @dataclass(frozen=True)
 class PairClass:

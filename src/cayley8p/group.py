@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-import numpy as np
-
 from .modular import check_odd_prime
 
 
@@ -117,8 +115,14 @@ def mul_table(p: int) -> tuple[tuple[int, ...], ...]:
 
     Built in one numpy pass of mul's normal-form rule over every pair, with
     index l*2p + k, and returned as tuples of Python ints for fast scalar
-    lookups.
+    lookups.  numpy loads here, on the first call: the rest of the module
+    is stdlib only.
     """
+    import numpy as np
+
+    from . import _close_blas_window
+
+    _close_blas_window()  # numpy is loaded: OpenBLAS has read its thread count
     check_odd_prime(p)
     n = 2 * p
     l, k = np.divmod(np.arange(4 * n), n)

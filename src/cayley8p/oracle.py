@@ -48,6 +48,7 @@ def check_cap(p: int) -> None:
 
 
 def _check_mask(p: int, mask: int, shown=None) -> None:
+    check_odd_prime(p)
     if not 0 <= mask < 1 << 4 * p:
         raise ValueError(f"mask out of range for p={p}: {mask if shown is None else shown}")
 

@@ -21,6 +21,10 @@ the cycle index at 2), n_circulant counts circulant graphs of order 2p,
 and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
 Both formulas sum one integer numerator over their common denominator
 and divide once.  All arithmetic is exact; results are unbounded integers.
+
+Everything here but cycle_index_bruteforce is stdlib only, so count,
+table and cycle-index --eval run without numpy; the brute-force cycle
+index imports domain (and numpy with it) when first called.
 """
 
 from collections.abc import Mapping
@@ -29,10 +33,19 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-import numpy as np
-
-from .domain import Monomial, cycle_types, monomial
 from .modular import check_odd_prime, divisors, euler_phi
+
+# a monomial is a tuple of (variable index, exponent) pairs, ascending by index
+Monomial = tuple[tuple[int, int], ...]
+
+
+def monomial(*pairs: tuple[int, int]) -> Monomial:
+    """Canonicalize (index, exponent) pairs: merge repeats, drop zeros, sort."""
+    merged: dict[int, int] = {}
+    for k, e in pairs:
+        if e:
+            merged[k] = merged.get(k, 0) + e
+    return tuple(sorted(merged.items()))
 
 
 def monomial_from_cycle_type(counts: dict[int, int]) -> Monomial:
@@ -107,8 +120,13 @@ def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
     """Average the monomials of the decomposed induced permutations.
 
     A cycle type is its monomial (see domain.cycle_types): each type adds
-    its number of maps, in units of 1/|Aut|, once.
+    its number of maps, in units of 1/|Aut|, once.  The decomposition is
+    engine work, so numpy and domain load here, on the first call.
     """
+    import numpy as np
+
+    from .domain import cycle_types
+
     check_odd_prime(p)
     types, ids = cycle_types(p)
     weights: dict[Monomial, int] = {}

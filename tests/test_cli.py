@@ -430,6 +430,56 @@ def test_closed_stdout_ends_quietly_with_status_141(tmp_path):
     assert (tmp_path / "stderr").read_bytes() == b""
 
 
+def _python(script: str) -> str:
+    """Standard output of script, run in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(domain.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, check=True
+    )
+    return proc.stdout.decode()
+
+
+CLAIMED_COMMANDS = [
+    [command, *args, "--format", fmt]
+    for command, args, formats in [
+        ("count", ["--p", "13"], ["text", "json", "csv"]),
+        ("table", ["--p-list", "3,5,7,11,13"], ["text", "json", "csv"]),
+        ("cycle-index", ["--p", "13", "--eval", "2"], ["text", "json"]),
+    ]
+    for fmt in formats
+]
+
+
+def test_claimed_commands_run_on_the_standard_library_alone(capsys):
+    """With numpy unimportable, the package and its closed-form modules
+    import, and count, table and cycle-index --eval print what they print in
+    this process, byte for byte, and load no engine module."""
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any numpy import raises ImportError\n"
+        "import contextlib, io, json\n"
+        "import cayley8p\n"
+        "cayley8p.group, cayley8p.autos, cayley8p.modular, cayley8p.polya, cayley8p.n_total\n"
+        "from cayley8p.cli import main\n"
+        "runs = []\n"
+        f"for argv in {CLAIMED_COMMANDS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        status = main(argv)\n"
+        "    runs.append([status, out.getvalue()])\n"
+        "engine = ('domain', 'kernels', 'oracle', 'verify')\n"
+        "print(json.dumps([runs, [m for m in engine if 'cayley8p.' + m in sys.modules]]))\n"
+    )
+    runs, engine = json.loads(_python(script))  # fails if a closed-form name needs numpy
+    expected = []
+    for argv in CLAIMED_COMMANDS:
+        status = main(argv)
+        expected.append([status, capsys.readouterr().out])
+    assert runs == expected
+    assert all(status == 0 for status, _ in runs)
+    assert engine == []
+
+
 def test_full_verify_never_imports_numpy_ma():
     """numpy.ma costs tens of milliseconds to import; no command needs it
     (np.unique with an axis would pull it in unnoticed)."""
@@ -446,40 +496,52 @@ def test_full_verify_never_imports_numpy_ma():
     assert proc.stderr == b"False 0\n"
 
 
+ENGINE_LOAD = "from cayley8p import oracle\n"
+CALLER_SETS_2 = "os.environ['OPENBLAS_NUM_THREADS'] = before['OPENBLAS_NUM_THREADS'] = '2'\n"
+
+
 @pytest.mark.skipif(
     not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
     reason="OpenBLAS starts no worker thread on one CPU; threads are counted in /proc",
 )
 @pytest.mark.parametrize(
-    "caller_sets, first, threads, variable",
+    "caller_sets, first, then, threads, window, variable",
     [
-        (None, "", [1], None),
-        ("2", "", [2], "2"),
+        (None, "", ENGINE_LOAD, [1], "1", None),
+        ("2", "", ENGINE_LOAD, [2], "2", "2"),
         # numpy loaded by the caller keeps OpenBLAS's own count, up to one per CPU
-        (None, "import numpy\n", range(2, (os.cpu_count() or 1) + 1), None),
+        (None, "import numpy\n", ENGINE_LOAD, range(2, (os.cpu_count() or 1) + 1), None, None),
+        # a count the caller sets after the import is theirs, and stays
+        (None, "", CALLER_SETS_2 + ENGINE_LOAD, [2], "1", "2"),
+        # numpy loaded outside the engine, by the one group function that uses it
+        (None, "", "cayley8p.group.mul_table(3)\n", [1], "1", None),
     ],
-    ids=["unset", "set-by-caller", "numpy-first"],
+    ids=["unset", "set-by-caller", "numpy-first", "set-after-import", "mul-table"],
 )
-def test_import_loads_numpy_with_one_blas_thread(caller_sets, first, threads, variable):
+def test_import_loads_numpy_with_one_blas_thread(caller_sets, first, then, threads, window, variable):
     """An idle OpenBLAS worker spins on a free core; the package calls no BLAS
-    routine, so importing it loads numpy with one BLAS thread, unless the
-    caller chose a count or loaded numpy first, and leaves os.environ as it was."""
+    routine, so importing it sets OPENBLAS_NUM_THREADS=1, unless the caller
+    chose a count or loaded numpy first.  numpy, loaded next by the package,
+    starts one BLAS thread, and the package leaves os.environ as it was."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(Path(domain.__file__).resolve().parents[1])
     if caller_sets is not None:
         env["OPENBLAS_NUM_THREADS"] = caller_sets
     script = first + (
-        "import json, os\n"
+        "import json, os, sys\n"
         "before = dict(os.environ)\n"
         "import cayley8p\n"
-        "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+        "window = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+        + then
+        + "print(json.dumps([len(os.listdir('/proc/self/task')), window,\n"
         "                  os.environ.get('OPENBLAS_NUM_THREADS'), dict(os.environ) == before]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, check=True
     )
-    n_threads, seen, unchanged = json.loads(proc.stdout)
+    n_threads, seen_in_window, seen, unchanged = json.loads(proc.stdout)
     assert n_threads in threads
+    assert seen_in_window == window
     assert seen == variable
     assert unchanged
 

@@ -2,12 +2,17 @@
 
 The harness lies outside pytest's testpaths, so a renamed function would
 break every benchmark sample while this suite stayed green.  spans.py is
-loaded as a plain module; `Tracer.install` is never called, because it
-rewires module attributes for the rest of the session.
+loaded as a plain module; `Tracer.install` is called only in a child
+process, because it rewires module attributes for the rest of the session.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +68,29 @@ def test_harness_passes_workers():
     assert kernels.sweep_minimal_count(induced_permutations(3), workers=2) == 624
     command = ["verify", "--p", "3", "--level", "full", "--workers", "1", "--format", "json"]
     assert cli.main(command) == 0
+
+
+def test_tracer_installs_after_the_sample_imports():
+    """sample.py imports cayley8p.cli, then numpy, then kernels and domain;
+    the tracer then needs every traced module loaded, and numpy, loaded by
+    sample.py itself, must have started one OpenBLAS thread."""
+    tree = ast.parse((HARNESS / "sample.py").read_text())
+    imports = [ast.unparse(node) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    script = "\n".join(
+        [
+            "import json, os, sys",
+            f"sys.path.insert(0, {str(HARNESS)!r})",
+            *imports,
+            "spans.Tracer().install()",
+            "print(json.dumps([len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0]))",
+        ]
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=120, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    [n_threads] = json.loads(proc.stdout)
+    if n_threads and (os.cpu_count() or 1) >= 2:  # one CPU starts no worker thread anyway
+        assert n_threads == 1

@@ -467,6 +467,20 @@ def test_mask_hex_round_trip():
         hex_to_mask(3, "1000")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mask_to_hex(4, 5),  # once rendered as '0005'
+        lambda: hex_to_mask(9, "ff"),  # once read as 255
+        lambda: mask_to_hex(True, 1),  # once a format-spec error
+    ],
+    ids=["mask_to_hex-even", "hex_to_mask-composite", "mask_to_hex-bool"],
+)
+def test_mask_helpers_refuse_a_p_that_is_not_an_odd_prime(call):
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        call()
+
+
 def test_out_of_range_masks_are_refused():
     for mask in (-1, 1 << 12, 1 << 50):
         with pytest.raises(ValueError, match="out of range"):
