@@ -10,15 +10,16 @@ truth; the closed forms overstate some orbit lengths on the paired
 a-power classes, and every disagreement between the two sides is
 computed and reported side by side rather than hidden (see verify).
 
-The closed forms (polya, with modular, group and autos) import no numpy;
-only group.mul_table and polya.cycle_index_bruteforce load it, when
-called.  The brute-force engine (domain, kernels, oracle, verify) uses
-numpy and loads as one unit: the first request for one of its modules or
-names, as an attribute of the package or by `from cayley8p import ...`,
-imports cayley8p.verify, which imports the other three.  Every other
-name in __all__, and each closed-form module, loads its own module on
-first request.  So `import cayley8p` and `import cayley8p.cli` load no
-numpy, and neither do `count`, `table` and `cycle-index --eval`.
+The closed forms (polya, with modular, group and autos), counts and
+cycle types alike, import no numpy; only polya.cycle_index_bruteforce
+loads it, when called.  The brute-force engine (domain, kernels, oracle,
+verify) uses numpy and loads as one unit: the first request for one of
+its modules or names, as an attribute of the package or by `from
+cayley8p import ...`, imports cayley8p.verify, which imports the other
+three.  Every other name in __all__, and each closed-form module, loads
+its own module on first request.  So `import cayley8p` and `import
+cayley8p.cli` load no numpy, and neither do `count`, `table`,
+`cycle-index --eval` and `cycle-types`.
 
 The package calls no BLAS routine, yet OpenBLAS starts worker threads
 when numpy loads, and an idle worker busy-waits on a free core for tens
@@ -27,10 +28,10 @@ numpy is already loaded or the caller has set OPENBLAS_NUM_THREADS, the
 package sets it to 1 when imported, and whoever loads numpy next, the
 package or the caller, loads it with one BLAS thread.  OpenBLAS reads the
 variable once, when it loads; the package removes it again when it loads
-numpy itself (cayley8p.domain, which every engine module imports, or
-group.mul_table), unless the caller has changed it in the meantime.
-Until then a child process inherits OPENBLAS_NUM_THREADS=1, also in a
-process that only ever runs the closed forms.
+numpy itself (cayley8p.domain, which every engine module imports),
+unless the caller has changed it in the meantime.  Until then a child
+process inherits OPENBLAS_NUM_THREADS=1, also in a process that only
+ever runs the closed forms.
 """
 
 import os as _os
@@ -64,7 +65,7 @@ _EXPORTS = {
     "compose": "autos",
     "enumerate_aut": "autos",
     "build_domain": "domain",
-    "closed_form_cycle_type": "domain",
+    "closed_form_cycle_type": "polya",
     "cycle_type_of": "domain",
     "CountReport": "polya",
     "count_report": "polya",

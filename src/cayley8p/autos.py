@@ -26,7 +26,7 @@ class Automorphism:
     beta: int
 
     def __post_init__(self):
-        n = 2 * self.p
+        n = 2 * check_odd_prime(self.p)
         if self.family not in (SIGMA, TAU):
             raise ValueError(f"unknown family {self.family!r}")
         if not (0 < self.alpha < n and gcd(self.alpha, n) == 1):

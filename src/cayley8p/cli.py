@@ -14,16 +14,16 @@ Exit status: 0 success, 1 internal inconsistency or failed verification,
 2 invalid input, 141 standard output closed before all of it was written
 (as in `cayley8p cycle-types --p 31 | head -1`).
 
-This module only parses arguments and renders output: counts come from
-polya, verify's checks and claimed-vs-genuine records from cayley8p.verify.
-Importing it loads no numpy, and count, table and cycle-index --eval run on
-the standard library alone.  The numpy engine loads on the first call that
-needs it: verify (through build_verification_report), cycle-types (through
-domain) and cycle-index without --eval (through the brute-force cycle
-index it compares with).
+This module only parses arguments and renders output: counts and
+closed-form cycle types come from polya, verify's checks and
+claimed-vs-genuine records from cayley8p.verify.  Importing it loads no
+numpy, and count, table, cycle-index --eval and cycle-types run on the
+standard library alone.  The numpy engine loads on the first call that
+needs it: verify (through build_verification_report) and cycle-index
+without --eval (through the brute-force cycle index it compares with).
 
 cycle-types reads the closed-form cycle types as one monomial per case
-and each map's case (domain.closed_form_cycle_types), renders each case
+and each map's case (polya.closed_form_cycle_types), renders each case
 once and prints one run of 2p records (autos.aut_blocks) at a time, so
 its memory does not grow with the output.
 """
@@ -258,10 +258,8 @@ def cmd_cycle_types(args) -> int:
     every closed_form_cycle_type, and in JSON the same bytes as
     json.dumps(records, indent=2).  A record is its run's label, beta and its
     case's rendering; each case is rendered once, each run printed at once."""
-    from .domain import closed_form_cycle_types, render_cycle_type
-
     p = check_odd_prime(args.p)
-    monomials, case = closed_form_cycle_types(p)
+    monomials, case = polya.closed_form_cycle_types(p)
     types = [dict(t) for t in monomials]
     if args.format == "json":
         # a cycle type sits two levels deep in the list of records
@@ -273,13 +271,12 @@ def cmd_cycle_types(args) -> int:
         head, sep, tail = "[\n", ",\n", "\n]"
     else:
         label = "{}({},"
-        rendered = ["): " + render_cycle_type(t) for t in types]
+        rendered = ["): " + polya.render_cycle_type(t) for t in types]
         head, sep, tail = "", "\n", ""
     n = 2 * p
     for i, (family, alpha) in enumerate(aut_blocks(p)):
         start = label.format(family, alpha)
-        run = case[i * n : (i + 1) * n].tolist()
-        records = (f"{start}{b}{rendered[r]}" for b, r in enumerate(run))
+        records = (f"{start}{b}{rendered[r]}" for b, r in enumerate(case[i * n : (i + 1) * n]))
         print(sep if i else head, sep.join(records), sep="", end="")
     print(tail)
     return 0

@@ -30,15 +30,9 @@ scalar reference.
 A cycle type is its cycle-index monomial x_1^e1 x_2^e2 ... (a Monomial,
 canonical as monomial() makes it), and every producer of cycle types
 returns (types, ids): monomials, not necessarily distinct, and each map's
-index into them.  closed_form_cycle_types(p) keeps one monomial per case
-of the scalar closed_form_cycle_type and each map's case; the verify check
-compares the sides once per distinct (genuine type, case) pair.
-
-The decomposition is the ground truth; the closed-form case analysis
-(closed_form_cycle_type) is compared with it, not assumed equal: it
-tracks class labels modulo 2p and misses the orbit shortening caused by
-the label identification i ~ -i on the a-power pairs, so it overstates
-some cycle lengths.
+index into them.  This module holds the genuine action only: the paper's
+case analysis (polya.closed_form_cycle_types, in the same shape) is
+compared with it, never assumed equal.
 """
 
 import os
@@ -52,8 +46,12 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from . import _close_blas_window
 from .autos import SIGMA, Automorphism, aut_blocks, apply
 from .group import GroupElement, all_elements, element_index
-from .modular import check_odd_prime, mult_order
+from .modular import _INT16_MAX, _check_int16_classes, check_odd_prime
 from .polya import Monomial, monomial
+
+# Read here only by the benchmark harness (benchmarks/e2e/spans.py traces it
+# as domain.closed_form_cycle_type) and tests/test_acceptance.py.
+from .polya import closed_form_cycle_type
 
 _close_blas_window()  # numpy is loaded: OpenBLAS has read its thread count
 
@@ -62,7 +60,6 @@ KIND_A2 = "A2"
 KIND_AP = "Ap"
 KIND_B = "B"
 
-_INT16_MAX = np.iinfo(np.int16).max
 _BLOCK_IMAGES = 1 << 16  # class member images per pass of _induced_blocks
 _CYCLE_CHUNK = 1024  # rows per pass of _translation_keys and _count_cycles
 
@@ -240,13 +237,6 @@ def _refuse(members, family: str, alpha: int, a_images, b_images) -> NoReturn:
         f"{family}({alpha},{0 if a_repeats else b_repeats.argmax()}) "
         "does not act bijectively on the classes"
     )
-
-
-def _check_int16_classes(p: int) -> None:
-    if 4 * p > _INT16_MAX:
-        raise ValueError(
-            f"p={p} has {4 * p} classes, more than an int16 index holds ({_INT16_MAX})"
-        )
 
 
 def _physical_memory() -> int:
@@ -459,117 +449,3 @@ def cycle_type_of(perm: tuple[int, ...]) -> dict[int, int]:
             length += 1
         counts[length] = counts.get(length, 0) + 1
     return counts
-
-
-def _add(counts: dict[int, int], length: int, mult: int) -> None:
-    # branches of the case analysis may hit the same length; contributions add
-    counts[length] = counts.get(length, 0) + mult
-
-
-def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
-    """Cycle type of the induced class permutation, by case analysis.
-
-    Cases split on the unit parameter (1 vs not) and, for non-unit 1, on
-    the parity of the shift parameter; orbit lengths on the b-block come
-    from the order o of the unit in the cyclic unit group of order p-1,
-    and g = (p-1)/o.
-
-    Known deviation from the genuine action: the case analysis assumes
-    every a-power class orbit under multiplication by the unit has full
-    length o, but the classes identify the labels i and -i, so whenever
-    some power of the unit is -1 (mod 2p, or mod p on the even labels)
-    the genuine orbit is half as long.  Example at p=3: the unit 5 is
-    -1 mod 6 and fixes both paired a-power classes, while this formula
-    books them as a 2-cycle.  cycle_type_of(induced_permutation(f, d))
-    is the ground truth; callers compare and report, never patch.
-    """
-    p = f.p
-    counts: dict[int, int] = {}
-    if f.alpha == 1:
-        if f.family == SIGMA:
-            if f.beta == 0:
-                _add(counts, 1, 4 * p)
-            elif f.beta == p:
-                _add(counts, 1, 2 * p)
-                _add(counts, 2, p)
-            elif f.beta % 2 == 0:
-                _add(counts, 1, 2 * p)
-                _add(counts, p, 2)
-            else:
-                _add(counts, 1, 2 * p)
-                _add(counts, 2 * p, 1)
-        else:
-            _add(counts, 1, 3 * p + 1 if f.beta == p else p + 1)
-            _add(counts, 2, (3 * p - 1) // 2 if f.beta == 0 else (p - 1) // 2)
-            if f.beta % 2 == 1 and f.beta != p:
-                _add(counts, p, 2)
-            elif f.beta % 2 == 0 and f.beta != 0:
-                _add(counts, 2 * p, 1)
-        return counts
-
-    o = mult_order(f.alpha, 2 * p)
-    g = (p - 1) // o
-    even_shift = f.beta % 2 == 0
-    if f.family == SIGMA:
-        if even_shift:
-            _add(counts, 1, 4)
-            _add(counts, o, 4 * g)
-        else:
-            _add(counts, 1, 2)
-            _add(counts, 2, 1)
-            if o % 2 == 0:
-                _add(counts, o, 4 * g)
-            else:
-                _add(counts, o, 2 * g)
-                _add(counts, 2 * o, g)
-    else:
-        if even_shift:
-            _add(counts, 1, 2)
-            _add(counts, 2, 1)
-            if o % 2 == 0:
-                _add(counts, o, 4 * g)
-            else:
-                _add(counts, o, g)
-                _add(counts, 2 * o, 3 * g // 2)
-        else:
-            _add(counts, 1, 4)
-            if o % 2 == 0:
-                _add(counts, o, 4 * g)
-            else:
-                _add(counts, o, 3 * g)
-                _add(counts, 2 * o, g // 2)
-    return counts
-
-
-@lru_cache(maxsize=None)
-def closed_form_cycle_types(p: int) -> tuple[tuple[Monomial, ...], np.ndarray]:
-    """closed_form_cycle_type of every enumerated map, one monomial per case.
-
-    The case analysis reads beta only through which of {0, p, other even,
-    other odd} it is, and for alpha != 1 only through its parity, so the
-    4p(p-1) maps fall into 4p cases and it runs once per case on a
-    representative map.  Returns (types, case) laid out as cycle_types(p):
-    one monomial per case, and a read-only int16 array giving each map's
-    case, in enumerate_aut order.
-    """
-    check_odd_prime(p)
-    _check_int16_classes(p)  # case numbers are below 4p
-    beta = np.arange(2 * p, dtype=np.int16)
-    parity = beta % 2
-    # alpha = 1: representatives (other even, other odd, 0, p), indexed by
-    # parity, plus 2 for the two special shifts
-    special = np.where((beta == 0) | (beta == p), parity + 2, parity)
-    types, picks = [], []
-    for family, alpha in aut_blocks(p):
-        reps, pick = ((2, 1, 0, p), special) if alpha == 1 else ((0, 1), parity)
-        picks.append(pick + len(types))
-        maps = [Automorphism(p, family, alpha, b) for b in reps]
-        types += [monomial(*closed_form_cycle_type(f).items()) for f in maps]
-    case = np.concatenate(picks)
-    case.flags.writeable = False
-    return tuple(types), case
-
-
-def render_cycle_type(counts: dict[int, int]) -> str:
-    """Compact multiplicative notation, e.g. "1^2 2^5"."""
-    return " ".join(f"{k}^{counts[k]}" for k in sorted(counts))

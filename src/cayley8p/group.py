@@ -111,27 +111,21 @@ def element_index(x: GroupElement) -> int:
 
 @lru_cache(maxsize=None)
 def mul_table(p: int) -> tuple[tuple[int, ...], ...]:
-    """8p x 8p table of element indices: table[i][j] = index of elem_i * elem_j.
-
-    Built in one numpy pass of mul's normal-form rule over every pair, with
-    index l*2p + k, and returned as tuples of Python ints for fast scalar
-    lookups.  numpy loads here, on the first call: the rest of the module
-    is stdlib only.
-    """
-    import numpy as np
-
-    from . import _close_blas_window
-
-    _close_blas_window()  # numpy is loaded: OpenBLAS has read its thread count
+    """8p x 8p table of element indices l*2p + k: table[i][j] = index of
+    elem_i * elem_j by mul's rule, as tuples of ints for fast scalar lookups."""
     check_odd_prime(p)
     n = 2 * p
-    l, k = np.divmod(np.arange(4 * n), n)
-    sign = 1 - 2 * (l % 2)
-    k_product = k[:, None] + sign[:, None] * k
-    l_product = l[:, None] + l
-    wrap = l_product >= 4  # b^4 = a^p
-    table = (l_product - 4 * wrap) * n + (k_product + p * wrap) % n
-    return tuple(map(tuple, table.tolist()))
+    table = []
+    for x in range(4 * n):
+        l, k = divmod(x, n)
+        sign = -1 if l % 2 else 1
+        row: list[int] = []
+        for m in range(4):
+            wrap = l + m >= 4  # b^4 = a^p
+            start, k_shift = (l + m - 4 * wrap) * n, k + p * wrap
+            row += [start + (k_shift + sign * j) % n for j in range(n)]
+        table.append(tuple(row))
+    return tuple(table)
 
 
 # ---------- the order-8p presentation on <x, b> and the isomorphism ----------

@@ -34,6 +34,17 @@ def check_odd_prime(p: int) -> int:
     return p
 
 
+_INT16_MAX = (1 << 15) - 1
+
+
+def _check_int16_classes(p: int) -> None:
+    """Refuse a p whose 4p class numbers the engine's int16 arrays cannot hold."""
+    if 4 * p > _INT16_MAX:
+        raise ValueError(
+            f"p={p} has {4 * p} classes, more than an int16 index holds ({_INT16_MAX})"
+        )
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Count the units mod n."""

@@ -1,4 +1,4 @@
-"""Cycle-index polynomials and the closed-form graph counts.
+"""The paper's claims: cycle-index polynomials, graph counts and cycle types.
 
 The cycle index of the automorphism action on the 4p classes is built
 two independent ways: by averaging brute-force cycle types over all
@@ -22,8 +22,12 @@ and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
 Both formulas sum one integer numerator over their common denominator
 and divide once.  All arithmetic is exact; results are unbounded integers.
 
-Everything here but cycle_index_bruteforce is stdlib only, so count,
-table and cycle-index --eval run without numpy; the brute-force cycle
+Cycle types:  closed_form_cycle_type is the case analysis for one map;
+closed_form_cycle_types runs it once per case and gives each map's case,
+as domain.cycle_types gives the genuine types that verify compares them with.
+
+Everything here but cycle_index_bruteforce is stdlib only, so count, table,
+cycle-index --eval and cycle-types run without numpy; the brute-force cycle
 index imports domain (and numpy with it) when first called.
 """
 
@@ -33,7 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .modular import check_odd_prime, divisors, euler_phi
+from .modular import _check_int16_classes, check_odd_prime, divisors, euler_phi, mult_order
+from .autos import SIGMA, Automorphism, aut_blocks
 
 # a monomial is a tuple of (variable index, exponent) pairs, ascending by index
 Monomial = tuple[tuple[int, int], ...]
@@ -273,6 +278,114 @@ def count_report(p: int) -> CountReport:
     )
 
 
+def _add(counts: dict[int, int], length: int, mult: int) -> None:
+    # branches of the case analysis may hit the same length; contributions add
+    counts[length] = counts.get(length, 0) + mult
+
+
+def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
+    """Cycle type of the induced class permutation, by case analysis.
+
+    Cases split on the unit parameter (1 vs not) and, for non-unit 1, on
+    the parity of the shift parameter; orbit lengths on the b-block come
+    from the order o of the unit in the cyclic unit group of order p-1,
+    and g = (p-1)/o.
+
+    Known deviation from the genuine action: the case analysis assumes
+    every a-power class orbit under multiplication by the unit has full
+    length o, but the classes identify the labels i and -i, so whenever
+    some power of the unit is -1 (mod 2p, or mod p on the even labels)
+    the genuine orbit is half as long.  Example at p=3: the unit 5 is
+    -1 mod 6 and fixes both paired a-power classes, while this formula
+    books them as a 2-cycle.  The decomposition in domain is the ground
+    truth; callers compare and report, never patch.
+    """
+    p = f.p
+    counts: dict[int, int] = {}
+    if f.alpha == 1:
+        if f.family == SIGMA:
+            if f.beta == 0:
+                _add(counts, 1, 4 * p)
+            elif f.beta == p:
+                _add(counts, 1, 2 * p)
+                _add(counts, 2, p)
+            elif f.beta % 2 == 0:
+                _add(counts, 1, 2 * p)
+                _add(counts, p, 2)
+            else:
+                _add(counts, 1, 2 * p)
+                _add(counts, 2 * p, 1)
+        else:
+            _add(counts, 1, 3 * p + 1 if f.beta == p else p + 1)
+            _add(counts, 2, (3 * p - 1) // 2 if f.beta == 0 else (p - 1) // 2)
+            if f.beta % 2 == 1 and f.beta != p:
+                _add(counts, p, 2)
+            elif f.beta % 2 == 0 and f.beta != 0:
+                _add(counts, 2 * p, 1)
+        return counts
+
+    o = mult_order(f.alpha, 2 * p)
+    g = (p - 1) // o
+    even_shift = f.beta % 2 == 0
+    if f.family == SIGMA:
+        if even_shift:
+            _add(counts, 1, 4)
+            _add(counts, o, 4 * g)
+        else:
+            _add(counts, 1, 2)
+            _add(counts, 2, 1)
+            if o % 2 == 0:
+                _add(counts, o, 4 * g)
+            else:
+                _add(counts, o, 2 * g)
+                _add(counts, 2 * o, g)
+    else:
+        if even_shift:
+            _add(counts, 1, 2)
+            _add(counts, 2, 1)
+            if o % 2 == 0:
+                _add(counts, o, 4 * g)
+            else:
+                _add(counts, o, g)
+                _add(counts, 2 * o, 3 * g // 2)
+        else:
+            _add(counts, 1, 4)
+            if o % 2 == 0:
+                _add(counts, o, 4 * g)
+            else:
+                _add(counts, o, 3 * g)
+                _add(counts, 2 * o, g // 2)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def closed_form_cycle_types(p: int) -> tuple[tuple[Monomial, ...], tuple[int, ...]]:
+    """closed_form_cycle_type of every enumerated map, one monomial per case.
+
+    The case analysis reads beta only through which of {0, p, other even,
+    other odd} it is, and for alpha != 1 only through its parity, so the
+    4p(p-1) maps fall into 4p cases and it runs once per case on a
+    representative map.  Returns (types, case) laid out as
+    domain.cycle_types(p): one monomial per case, and each map's case, in
+    enumerate_aut order.  A p whose classes outgrow int16 is refused, as in domain.
+    """
+    check_odd_prime(p)
+    _check_int16_classes(p)
+    # alpha = 1: representatives (other even, other odd, 0, p), picked by the
+    # parity of beta, or 2 and 3 for the two special shifts
+    special = [b % 2 for b in range(2 * p)]
+    special[0], special[p] = 2, 3
+    types: list[Monomial] = []
+    case: list[int] = []
+    for family, alpha in aut_blocks(p):
+        base = len(types)
+        case += [base + c for c in special] if alpha == 1 else (base, base + 1) * p
+        for beta in (2, 1, 0, p) if alpha == 1 else (0, 1):
+            f = Automorphism(p, family, alpha, beta)
+            types.append(monomial_from_cycle_type(closed_form_cycle_type(f)))
+    return tuple(types), tuple(case)
+
+
 # ---------- rendering ----------
 
 
@@ -305,3 +418,8 @@ def poly_records(poly: CycleIndexPoly) -> list[dict]:
         }
         for mono, coeff in sorted(poly.terms.items(), key=_term_sort_key)
     ]
+
+
+def render_cycle_type(counts: dict[int, int]) -> str:
+    """Compact multiplicative notation, e.g. "1^2 2^5"."""
+    return " ".join(f"{k}^{counts[k]}" for k in sorted(counts))

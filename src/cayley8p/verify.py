@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, polya
-from .domain import check_array_memory, closed_form_cycle_types, cycle_types
+from .domain import check_array_memory, cycle_types
 from .modular import check_odd_prime
 
 
@@ -96,7 +96,7 @@ def build_verification_report(p: int, level: str) -> VerificationReport:
         checks.append(Comparison(p, quantity, claimed_route, claimed, genuine_route, genuine))
 
     genuine, ids = cycle_types(p)
-    claimed, case = closed_form_cycle_types(p)
+    claimed, case = polya.closed_form_cycle_types(p)
     add(
         "automorphism_count",
         len(ids) == len(case) == counts.aut_order,
@@ -105,7 +105,7 @@ def build_verification_report(p: int, level: str) -> VerificationReport:
 
     # formula claim vs oracle decomposition: disagreements are reported, not fatal;
     # the maps are compared once per distinct (genuine type, case) pair
-    pairs, maps = np.unique(ids * len(claimed) + case, return_counts=True)
+    pairs, maps = np.unique(ids * len(claimed) + np.array(case), return_counts=True)
     type_of, case_of = np.divmod(pairs, len(claimed))
     differ = [genuine[i] != claimed[j] for i, j in zip(type_of.tolist(), case_of.tolist())]
     mismatches = int(maps[differ].sum())

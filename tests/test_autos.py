@@ -40,6 +40,11 @@ def test_parameter_validation():
         Automorphism(3, SIGMA, 1, 6)  # shift out of range
     with pytest.raises(ValueError):
         Automorphism(3, SIGMA, 0, 0)
+    # p must be an odd prime, before the case analysis can type such a map
+    with pytest.raises(ValueError, match="odd prime"):
+        Automorphism(9, SIGMA, 5, 2)
+    with pytest.raises(ValueError, match="odd prime"):
+        Automorphism(1, TAU, 1, 1)
 
 
 def test_str_format():

@@ -19,9 +19,8 @@ from cayley8p.autos import Automorphism, aut_blocks, enumerate_aut
 from cayley8p.cli import CSV_HEADER, build_verification_report, main
 from cayley8p.domain import PairClass
 from cayley8p.group import GroupElement
-from cayley8p.domain import closed_form_cycle_type, render_cycle_type
 from cayley8p.modular import is_odd_prime
-from cayley8p.polya import cycle_index_bruteforce, n_total
+from cayley8p.polya import closed_form_cycle_type, cycle_index_bruteforce, n_total, render_cycle_type
 
 QUICK_CHECKS = [
     "automorphism_count",
@@ -387,7 +386,7 @@ def test_cycle_types_memory_does_not_grow_with_the_output():
     """At p = 211 the JSON is 177240 records, 22.5 MiB: each case is rendered
     once and the records go out one run of 2p at a time, so the traced peak
     stays well below the size of the output."""
-    domain.closed_form_cycle_types.cache_clear()
+    polya.closed_form_cycle_types.cache_clear()
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -404,7 +403,7 @@ def test_cycle_types_refuses_p_beyond_int16_before_output(capsys, monkeypatch, f
     def refuse(f):
         raise AssertionError("closed_form_cycle_type called before the size check")
 
-    _patch_every_binding(monkeypatch, domain.closed_form_cycle_type, refuse)
+    _patch_every_binding(monkeypatch, polya.closed_form_cycle_type, refuse)
     assert main(["cycle-types", "--p", "8209", "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -445,6 +444,7 @@ CLAIMED_COMMANDS = [
         ("count", ["--p", "13"], ["text", "json", "csv"]),
         ("table", ["--p-list", "3,5,7,11,13"], ["text", "json", "csv"]),
         ("cycle-index", ["--p", "13", "--eval", "2"], ["text", "json"]),
+        ("cycle-types", ["--p", "13"], ["text", "json"]),
     ]
     for fmt in formats
 ]
@@ -452,8 +452,8 @@ CLAIMED_COMMANDS = [
 
 def test_claimed_commands_run_on_the_standard_library_alone(capsys):
     """With numpy unimportable, the package and its closed-form modules
-    import, and count, table and cycle-index --eval print what they print in
-    this process, byte for byte, and load no engine module."""
+    import, and count, table, cycle-index --eval and cycle-types print what
+    they print in this process, byte for byte, and load no engine module."""
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None  # any numpy import raises ImportError\n"
@@ -513,10 +513,8 @@ CALLER_SETS_2 = "os.environ['OPENBLAS_NUM_THREADS'] = before['OPENBLAS_NUM_THREA
         (None, "import numpy\n", ENGINE_LOAD, range(2, (os.cpu_count() or 1) + 1), None, None),
         # a count the caller sets after the import is theirs, and stays
         (None, "", CALLER_SETS_2 + ENGINE_LOAD, [2], "1", "2"),
-        # numpy loaded outside the engine, by the one group function that uses it
-        (None, "", "cayley8p.group.mul_table(3)\n", [1], "1", None),
     ],
-    ids=["unset", "set-by-caller", "numpy-first", "set-after-import", "mul-table"],
+    ids=["unset", "set-by-caller", "numpy-first", "set-after-import"],
 )
 def test_import_loads_numpy_with_one_blas_thread(caller_sets, first, then, threads, window, variable):
     """An idle OpenBLAS worker spins on a free core; the package calls no BLAS
@@ -683,7 +681,7 @@ def test_verify_never_enumerates_automorphism_objects(monkeypatch):
 
     _patch_every_binding(monkeypatch, enumerate_aut, refuse)
     caches = (domain.induced_halves, domain.induced_permutations, domain.cycle_types)
-    for cached in caches + (domain.closed_form_cycle_types,):
+    for cached in caches + (polya.closed_form_cycle_types,):
         cached.cache_clear()
     report = build_verification_report(31, "quick")
     assert not report.failed
@@ -693,14 +691,14 @@ def test_verify_never_enumerates_automorphism_objects(monkeypatch):
 
 def test_verify_runs_the_closed_form_case_analysis_once_per_case(monkeypatch):
     calls = []
-    original = domain.closed_form_cycle_type
+    original = polya.closed_form_cycle_type
 
     def counted(f):
         calls.append(f)
         return original(f)
 
     _patch_every_binding(monkeypatch, original, counted)
-    domain.closed_form_cycle_types.cache_clear()
+    polya.closed_form_cycle_types.cache_clear()
     report = build_verification_report(31, "quick")
     assert len(calls) == 4 * 31
     # 4p(p-1-m) mismatches, m = 15 the odd part of p - 1 (acceptance criterion 4)

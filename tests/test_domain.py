@@ -28,8 +28,6 @@ from cayley8p.domain import (
     build_domain,
     class_members,
     class_table,
-    closed_form_cycle_type,
-    closed_form_cycle_types,
     cycle_counts,
     cycle_type_of,
     cycle_types,
@@ -38,9 +36,9 @@ from cayley8p.domain import (
     induced_permutation,
     induced_permutations,
     monomial,
-    render_cycle_type,
 )
 from cayley8p.group import GroupElement, all_elements, element_index, inv
+from cayley8p.polya import closed_form_cycle_type, closed_form_cycle_types, render_cycle_type
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -297,25 +295,29 @@ def test_permutation_array_and_cycle_rows_are_read_only_int16():
         genuine, ids = cycle_types(p)
         claimed, case = closed_form_cycle_types(p)
         assert len(claimed) == 4 * p  # one type per case
-        assert ids.shape == case.shape == (4 * p * (p - 1),)
+        assert ids.shape == (len(case),) == (4 * p * (p - 1),)
         for types, index in ((genuine, ids), (claimed, case)):
             assert np.unique(index).tolist() == list(range(len(types)))  # only types that occur
             for t in types:
                 assert t == monomial(*t)  # ascending lengths, positive counts
                 assert sum(k * e for k, e in t) == 4 * p
-        assert perms.dtype == case.dtype == np.int16
+        assert perms.dtype == np.int16
         assert ids.dtype == np.intp
-        for array in (perms, ids, case):
+        for array in (perms, ids):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
+        # the claimed side is the standard library's: an immutable tuple of ints
+        assert type(case) is tuple and {type(c) for c in case} == {int}
+        with pytest.raises(TypeError):
+            case[0] = 0
 
 
 def test_int16_limits_are_refused_before_any_work(monkeypatch):
     def refuse(f):
         raise AssertionError("closed_form_cycle_type called before the size check")
 
-    monkeypatch.setattr("cayley8p.domain.closed_form_cycle_type", refuse)
+    monkeypatch.setattr("cayley8p.polya.closed_form_cycle_type", refuse)
     # 8209 is the first prime with more than 32767 classes
     for build in (induced_permutations, closed_form_cycle_types):
         with pytest.raises(ValueError, match=r"p=8209 has 32836 classes.*int16.*32767"):
@@ -325,7 +327,7 @@ def test_int16_limits_are_refused_before_any_work(monkeypatch):
 
 
 def _as_dicts(types, ids) -> list[dict[int, int]]:
-    return [dict(types[i]) for i in ids.tolist()]
+    return [dict(types[i]) for i in ids]
 
 
 def test_array_cycle_types_match_cycle_type_of():
@@ -396,6 +398,10 @@ def test_closed_form_array_matches_the_scalar_case_analysis():
         assert _as_dicts(*closed_form_cycle_types(p)) == [
             closed_form_cycle_type(f) for f in enumerate_aut(p)
         ]
+    # p = 3, in aut_blocks order: the alpha = 1 blocks by shift pattern
+    # (beta 0, odd, even, p, even, odd), the others by parity
+    sigma_1, tau_1 = (2, 1, 0, 3, 0, 1), (8, 7, 6, 9, 6, 7)
+    assert closed_form_cycle_types(3)[1] == sigma_1 + (4, 5) * 3 + tau_1 + (10, 11) * 3
 
 
 @st.composite

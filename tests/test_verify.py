@@ -6,8 +6,8 @@ import pytest
 from cayley8p import polya
 from cayley8p.autos import enumerate_aut
 from cayley8p.cli import _report_json
-from cayley8p.domain import build_domain, closed_form_cycle_type, cycle_type_of, induced_permutation
-from cayley8p.polya import count_report
+from cayley8p.domain import build_domain, cycle_type_of, induced_permutation
+from cayley8p.polya import closed_form_cycle_type, count_report
 from cayley8p.verify import Comparison, build_verification_report
 
 
