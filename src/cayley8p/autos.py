@@ -9,7 +9,7 @@ of the package follows it.  Maps are stored as parameters.
 from dataclasses import dataclass
 from math import gcd
 
-from .group import GroupElement, all_elements
+from .group import GroupElement, _check_params, all_elements
 from .modular import check_odd_prime, units_mod
 
 SIGMA = "sigma"
@@ -26,7 +26,7 @@ class Automorphism:
     beta: int
 
     def __post_init__(self):
-        n = 2 * check_odd_prime(self.p)
+        n = 2 * _check_params(self.p, alpha=self.alpha, beta=self.beta)
         if self.family not in (SIGMA, TAU):
             raise ValueError(f"unknown family {self.family!r}")
         if not (0 < self.alpha < n and gcd(self.alpha, n) == 1):

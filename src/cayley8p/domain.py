@@ -239,21 +239,17 @@ def _refuse(members, family: str, alpha: int, a_images, b_images) -> NoReturn:
     )
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory, read afresh on every call."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def check_array_memory(p: int) -> None:
-    """Refuse a p with more classes than an int16 index holds, then a p
-    whose int16 permutation array, 4p(p-1) by 4p, would take more than a
-    quarter of physical memory.  No genuine count builds that array:
-    induced_halves and cycle_types peak at 1.29 times its size at p = 101
-    (tracemalloc), and induced_permutations, which assembles it from the
-    halves, at 1.77 times, so both stay under half."""
+    """Refuse a p that is no odd prime or has more classes than an int16
+    index holds, then a p whose int16 permutation array, 4p(p-1) by 4p,
+    would take more than a quarter of physical memory.  No genuine count
+    builds that array: induced_halves and cycle_types peak at 1.29 times
+    its size at p = 101 (tracemalloc), and induced_permutations, which
+    assembles it from the halves, at 1.77 times, so both stay under half."""
+    check_odd_prime(p)
     _check_int16_classes(p)
     need = 2 * (4 * p * (p - 1)) * (4 * p) * 2
-    memory = _physical_memory()
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")  # read on every call
     if need > memory // 2:
         raise ValueError(
             f"p={p} needs {need / 2**20:,.1f} MiB for its int16 permutation and cycle "
@@ -275,7 +271,6 @@ def induced_halves(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     order of first occurrence, as read-only int16 arrays; and each map's
     row among them, in enumerate_aut order, as read-only intp arrays.
     """
-    check_odd_prime(p)
     check_array_memory(p)
     a_halves, b_halves = _induced_blocks(class_members(p), class_table(p), aut_blocks(p))
     a_rows, block_ids = distinct_rows(a_halves)

@@ -14,6 +14,16 @@ from math import gcd, lcm
 from .modular import check_odd_prime
 
 
+def _check_params(p: int, **ints) -> int:
+    """check_odd_prime(p), then refuse, as it refuses such a p, any of the
+    other values that is not an int or that is a bool; returns p."""
+    check_odd_prime(p)
+    for name, value in ints.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    return p
+
+
 @dataclass(frozen=True, order=True)
 class GroupElement:
     """Normal form a^k b^l; p is carried so cross-p arithmetic is rejected."""
@@ -23,17 +33,12 @@ class GroupElement:
     l: int
 
     def __post_init__(self):
+        _check_params(self.p, k=self.k, l=self.l)
         if not (0 <= self.k < 2 * self.p and 0 <= self.l < 4):
             raise ValueError(f"not in normal form: k={self.k}, l={self.l}, p={self.p}")
 
     def __str__(self) -> str:
         return f"a^{self.k} b^{self.l}"
-
-
-def normalize(p: int, k: int, l: int) -> GroupElement:
-    """Reduce arbitrary exponents: fold b^4 -> a^p first, then reduce k mod 2p."""
-    q, r = divmod(l, 4)
-    return GroupElement(p, (k + p * q) % (2 * p), r)
 
 
 def identity(p: int) -> GroupElement:
@@ -140,6 +145,7 @@ class GElement:
     j: int
 
     def __post_init__(self):
+        _check_params(self.p, i=self.i, j=self.j)
         if not (0 <= self.i < self.p and 0 <= self.j < 8):
             raise ValueError(f"not in normal form: i={self.i}, j={self.j}, p={self.p}")
 

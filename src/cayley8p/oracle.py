@@ -7,7 +7,7 @@ comes from breadth-first search over the multiplication table in
 `is_connected`, one scalar search per graph, and in the census from the
 p + 1 maximal subgroups, written from the class layout: a mask is
 connected iff it lies inside none of them; the circulant count comes
-from a direct orbit scan over subsets of the cyclic group of order 2p.
+from Burnside averaging over the units of the cyclic group of order 2p.
 
 Exhaustive sweeps run once per p, in two levels.  Every automorphism
 keeps the A block and the B block (see domain.induced_halves), and the
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, _physical_memory, class_table, cycle_types, distinct_rows, induced_halves
-from .group import mul_table
-from .kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
+from .domain import Domain, check_array_memory, class_table, cycle_counts, cycle_types
+from .domain import distinct_rows, induced_halves
+from .group import _check_params, mul_table
+from .kernels import bit_tables, sweep_minimal_masks
 from .modular import check_odd_prime, units_mod
 
 _HELD_REPS_MAX_P = 7  # one int64 mask per orbit; p = 11 has >= 2^44/440 orbits
@@ -48,27 +49,30 @@ def check_cap(p: int) -> None:
 
 
 def _check_mask(p: int, mask: int, shown=None) -> None:
-    check_odd_prime(p)
+    _check_params(p, mask=mask)
     if not 0 <= mask < 1 << 4 * p:
         raise ValueError(f"mask out of range for p={p}: {mask if shown is None else shown}")
 
 
 def burnside_count(p: int) -> int:
-    """Orbit count as the average number of fixed connection sets.
+    """Orbit count as the average number of connection sets the 4p(p-1) maps fix."""
+    check_odd_prime(p)
+    return _burnside(*cycle_types(p), 4 * p * (p - 1))
+
+
+def _burnside(types, ids, order: int) -> int:
+    """Orbits of subsets under a group of `order` maps with cycle types types[ids].
 
     A permutation with c cycles fixes exactly 2^c subsets, c the sum of
-    the exponents of its cycle type, so the count is (1/|Aut|) * the sum
-    of 2^c over the maps, using brute-force cycle decomposition only: each
+    the exponents of its cycle type, so the count is (1/order) * the sum of
+    2^c over the maps, using brute-force cycle decomposition only: each
     type adds its number of maps shifted by its c once.
     """
-    check_odd_prime(p)
-    types, ids = cycle_types(p)
     maps_with = np.bincount(ids).tolist()
     total = sum(n << sum(e for _, e in t) for t, n in zip(types, maps_with))
-    aut_order = 4 * p * (p - 1)
-    if total % aut_order:
-        raise ArithmeticError(f"Burnside sum {total} not divisible by {aut_order}")
-    return total // aut_order
+    if total % order:
+        raise ArithmeticError(f"Burnside sum {total} not divisible by {order}")
+    return total // order
 
 
 def orbit_partition_count(p: int) -> int:
@@ -112,7 +116,13 @@ def _two_level_sweep(a_rows, a_ids, b_rows, b_ids) -> np.ndarray:
     row_sets, set_ids = distinct_rows(holds)
     a_reps = [sweep_minimal_masks(a_rows[row_set]) for row_set in row_sets]
     half = a_rows.shape[1]
-    return np.concatenate([b << half | a_reps[i] for b, i in zip(b_reps.tolist(), set_ids)])
+    # filled in place: np.concatenate would hold every part and the result at once
+    reps = np.empty(sum(len(a_reps[i]) for i in set_ids), dtype=np.int64)
+    at = 0
+    for b, i in zip(b_reps.tolist(), set_ids):
+        np.bitwise_or(a_reps[i], b << half, out=reps[at : at + len(a_reps[i])])
+        at += len(a_reps[i])
+    return reps
 
 
 # ---------- explicit graphs and connectivity ----------
@@ -234,26 +244,13 @@ def circulant_orbit_count(p: int) -> int:
 
     The p classes are the pairs {i, 2p-i} (i = 1..p-1) plus the
     singleton {p}; a unit u maps the class of i to the class of u*i.
-    Counted by the same minimal-mask sweep as the main oracle, which holds
-    one int64 mask per orbit, twice while its chunks concatenate.  The
-    units act in pairs u, -u, so there are at least 2^p/((p-1)/2) orbits;
-    a p whose 16 bytes per orbit would take more than half of physical
-    memory is refused with ValueError before any work (from p = 37 on with
-    8 GiB).
+    Counted by Burnside over the p - 1 units, as burnside_count counts over
+    the automorphisms, and refused where check_array_memory refuses p.
     """
-    check_odd_prime(p)
-    pairs = (p - 1) // 2
-    need = 16 * ((1 << p) // pairs)
-    memory = _physical_memory()
-    if need > memory // 2:
-        raise ValueError(
-            f"p={p} needs {need >> 20:,} MiB for the at least 2^{p}/{pairs} orbits its "
-            f"circulant sweep holds, more than half of the {memory / 2**20:,.1f} MiB of "
-            f"physical memory"
-        )
+    check_array_memory(p)
     n = 2 * p
     images = np.outer(units_mod(n), np.r_[1:p, p]) % n
-    return sweep_minimal_count(np.minimum(images, n - images) - 1)
+    return _burnside(*cycle_counts(np.minimum(images, n - images) - 1), p - 1)
 
 
 # ---------- renderings ----------
@@ -266,6 +263,9 @@ def mask_to_hex(p: int, mask: int) -> str:
 
 
 def hex_to_mask(p: int, text: str) -> int:
+    """The mask that mask_to_hex writes as text: only hex digits are read."""
+    if not isinstance(text, str) or not text or text.strip("0123456789abcdefABCDEF"):
+        raise ValueError(f"not a string of hex digits: {text!r}")
     mask = int(text, 16)
     _check_mask(p, mask, text)
     return mask

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import oracle, polya
 from .domain import check_array_memory, cycle_types
-from .modular import check_odd_prime
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class VerificationReport:
 def build_verification_report(p: int, level: str) -> VerificationReport:
     if level not in ("quick", "full"):
         raise ValueError(f"level must be quick or full, got {level!r}")
-    check_odd_prime(p)
     check_array_memory(p)  # refusals first, before any work
     if level == "full":
         oracle.check_cap(p)

@@ -13,6 +13,7 @@ Everything is desk scale (p = 3 mostly) and cached per p.
 
 from collections import deque
 from functools import lru_cache
+from math import gcd
 
 
 def norm(p, k, l):
@@ -103,6 +104,19 @@ def induced_class_permutations(p):
         assert len(set(perm)) == len(perm)
         perms.append(perm)
     return perms
+
+
+def circulant_class_permutations(p):
+    """The unit permutations of the p inverse-closed classes of Z_2p \\ {0}:
+    classes 0 .. p-2 are the pairs {i, 2p-i}, class p-1 the singleton {p}."""
+    n = 2 * p
+
+    def class_idx(m):
+        m %= n
+        return p - 1 if m == p else min(m, n - m) - 1
+
+    reps = list(range(1, p)) + [p]
+    return [tuple(class_idx(u * r) for r in reps) for u in range(1, n) if gcd(u, n) == 1]
 
 
 def burnside_count(p):

@@ -45,6 +45,13 @@ def test_parameter_validation():
         Automorphism(9, SIGMA, 5, 2)
     with pytest.raises(ValueError, match="odd prime"):
         Automorphism(1, TAU, 1, 1)
+    # parameters are ints, never bools or floats: tau(1,2.0) and sigma(True,0)
+    # were once built, and a float unit once raised TypeError
+    for alpha, beta in ((1, 2.0), (True, 0), (5.0, 0), (1, False), (1.0, 0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            Automorphism(3, TAU, alpha, beta)
+        with pytest.raises(ValueError, match="must be an int"):
+            Automorphism(3, SIGMA, alpha, beta)
 
 
 def test_str_format():

@@ -1,8 +1,6 @@
 """Group arithmetic: normal forms, group laws, orders, the isomorphism."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cayley8p.group import (
     GElement,
@@ -16,7 +14,6 @@ from cayley8p.group import (
     iso_f,
     mul,
     mul_table,
-    normalize,
 )
 
 E3 = identity(3)
@@ -29,26 +26,18 @@ def test_normal_form_validation():
         GroupElement(3, 0, 4)
     with pytest.raises(ValueError):
         GroupElement(3, -1, 0)
-
-
-def test_normalize_folds_b4_to_ap():
-    # b^4 = a^p, so (k, l+4) and (k+p, l) are the same element
-    assert normalize(3, 0, 4) == GroupElement(3, 3, 0)
-    assert normalize(3, 5, 7) == GroupElement(3, 2, 3)
-    assert normalize(3, -1, 0) == GroupElement(3, 5, 0)
-    assert normalize(5, 23, 9) == normalize(5, 23 + 2 * 5, 9)
-
-
-@given(
-    p=st.sampled_from([3, 5, 7]),
-    k=st.integers(-100, 100),
-    l=st.integers(-20, 20),
-)
-@settings(max_examples=200, deadline=None)
-def test_normalize_respects_rewrite_rules(p, k, l):
-    assert normalize(p, k, l) == normalize(p, k + 2 * p, l)
-    assert normalize(p, k, l + 4) == normalize(p, k + p, l)
-    assert normalize(p, k, l + 8) == normalize(p, k, l)  # b^8 = e
+    # p must be an odd prime: a^3 in a "group" with p = 9 once had order 6
+    for p in (9, 1, 4, True, 3.0):
+        with pytest.raises(ValueError, match="odd prime"):
+            GroupElement(p, 0, 0)
+        with pytest.raises(ValueError, match="odd prime"):
+            GElement(p, 0, 0)
+    # exponents are ints, never bools or floats (a^1.0 b^0 was once printed)
+    for k, l in ((1.0, 0), (0, 1.0), (True, 0), (0, False), ("1", 0)):
+        with pytest.raises(ValueError, match="must be an int"):
+            GroupElement(3, k, l)
+        with pytest.raises(ValueError, match="must be an int"):
+            GElement(3, k, l)
 
 
 def test_identity_and_str():

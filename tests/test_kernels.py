@@ -5,11 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from independent_model import apply_perm_to_mask
+from independent_model import apply_perm_to_mask, circulant_class_permutations
 from cayley8p import kernels
 from cayley8p.domain import induced_permutations
 from cayley8p.kernels import bit_tables, sweep_minimal_count, sweep_minimal_masks
-from cayley8p.modular import units_mod
 
 # C3 rotation on 3 bits: orbits are {000}, {111}, weight-1, weight-2
 ROTATION3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -33,21 +32,14 @@ def test_apply_perm_to_mask_on_int16_rows():
     assert apply_perm_to_mask((1 << 20) - 1, perms[0]) == (1 << 20) - 1
 
 
-def _circulant_rows(p: int) -> np.ndarray:
-    """The unit permutations of the p circulant classes, as circulant_orbit_count builds them."""
-    n = 2 * p
-
-    def class_idx(m: int) -> int:
-        m %= n
-        return p - 1 if m == p else min(m, n - m) - 1
-
-    reps = list(range(1, p)) + [p]
-    return np.array([[class_idx(u * r) for r in reps] for u in units_mod(n)])
-
-
 @pytest.mark.parametrize(
     "perms",
-    [induced_permutations(3), _circulant_rows(5), _circulant_rows(7), np.zeros((0, 6), int)],
+    [
+        induced_permutations(3),
+        np.array(circulant_class_permutations(5)),
+        np.array(circulant_class_permutations(7)),
+        np.zeros((0, 6), int),
+    ],
     ids=["induced-p3", "circulant-p5", "circulant-p7", "no-rows"],
 )
 def test_bit_tables_reproduce_every_image(perms):

@@ -6,6 +6,7 @@ model in independent_model.py, so regressions in either direction
 (package or expectations) surface immediately.
 """
 
+import math
 import os
 import random
 import time
@@ -442,15 +443,41 @@ def test_circulant_oracle_frozen_values():
 
 
 def test_circulant_oracle_refuses_a_p_beyond_half_of_the_memory_it_reads(monkeypatch):
+    """The circulant count refuses the p that check_array_memory refuses, as
+    every engine count does, and answers below it in milliseconds."""
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=r"p=101 needs .* MiB for the at least 2\^101/50 orbits"):
-        circulant_orbit_count(101)
+    assert circulant_orbit_count(101) == _circulant_closed_form(101)
     assert time.perf_counter() - t0 < 1.0
-    # 3 MiB of memory; p = 19 holds at least 2^19/9 orbits, 16 bytes each: 0.9 MiB
+    # 3 MiB of memory; p = 31 needs 2 * 3720 * 124 * 2 bytes, about 1.8 MiB
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 768}.get)
-    assert circulant_orbit_count(19) == 58288
-    with pytest.raises(ValueError, match="p=23 needs 11 MiB .* half of the 3.0 MiB"):
-        circulant_orbit_count(23)
+    assert circulant_orbit_count(23) == 762608
+    with pytest.raises(ValueError, match="p=31 needs 1.8 MiB .* half of the 3.0 MiB"):
+        circulant_orbit_count(31)
+
+
+def test_circulant_burnside_equals_the_sweep_on_the_same_permutations():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        perms = np.array(im.circulant_class_permutations(p))
+        assert circulant_orbit_count(p) == sweep_minimal_count(perms), p
+
+
+def _circulant_closed_form(p: int) -> int:
+    """(1/(p-1)) * sum over d | p-1 of phi(d) * 2^(1 + (p-1)/d'), with d' = d/2
+    for even d and d' = d otherwise: the number-theory circulant count."""
+    m = p - 1
+    total = 0
+    for d in range(1, m + 1):
+        if m % d == 0:
+            phi = sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+            total += phi << 1 + m // (d // 2 if d % 2 == 0 else d)
+    assert total % m == 0
+    return total // m
+
+
+def test_circulant_oracle_equals_the_number_theory_count():
+    for p in range(3, 409, 2):
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            assert circulant_orbit_count(p) == _circulant_closed_form(p), p
 
 
 def test_mask_hex_round_trip():
@@ -488,6 +515,18 @@ def test_out_of_range_masks_are_refused():
         with pytest.raises(ValueError, match="out of range"):
             build_cayley_graph(3, mask)
     assert is_connected(3, (1 << 12) - 1)
+    # only the text mask_to_hex writes is read: all but "" were once read as 31
+    for text in ("0x1f", "1_f", " 1f ", "+1f", "1f\n", "\u0661f", ""):
+        with pytest.raises(ValueError, match="not a string of hex digits"):
+            hex_to_mask(3, text)
+    with pytest.raises(ValueError, match="not a string of hex digits"):
+        hex_to_mask(3, 31)
+    assert hex_to_mask(3, "01F") == 31
+    # a mask is an int and not a bool: mask_to_hex(3, True) was once "001"
+    for mask in (True, False, 1.0, "1", np.int64(1)):
+        for refuse in (mask_to_hex, is_connected, build_cayley_graph):
+            with pytest.raises(ValueError, match="mask must be an int"):
+                refuse(3, mask)
 
 
 def test_to_dot_rendering():
