@@ -23,8 +23,8 @@ needs it: verify (through build_verification_report) and cycle-index
 without --eval (through the brute-force cycle index it compares with).
 
 cycle-types reads the closed-form cycle types as one monomial per case
-and each map's case (polya.closed_form_cycle_types), renders each case
-once and prints one run of 2p records (autos.aut_blocks) at a time, so
+and each map's case (polya.closed_form_cycle_types), renders each distinct
+type once and prints one run of 2p records (autos.aut_blocks) at a time, so
 its memory does not grow with the output.
 """
 
@@ -54,14 +54,14 @@ def build_verification_report(p: int, level: str):
 
 
 def _report_json(report: polya.CountReport, comparisons: "list[Comparison]") -> dict:
+    total, circulant, connected, methods = _count_strings(report)
     return {
         "p": report.p,
         "aut_order": report.aut_order,
-        "n_total": str(report.n_total),
-        "n_circulant": str(report.n_circulant),
-        "n_connected": str(report.n_connected),
-        "methods": {k: str(v) for k, v in report.methods.items()}
-        | {c.genuine_route: str(c.genuine) for c in comparisons},
+        "n_total": total,
+        "n_circulant": circulant,
+        "n_connected": connected,
+        "methods": methods | {c.genuine_route: str(c.genuine) for c in comparisons},
         "discrepancies": [
             {
                 "quantity": c.quantity,
@@ -80,21 +80,64 @@ CSV_HEADER = "p,n_total,n_circulant,n_connected"
 
 
 def _csv_row(report: polya.CountReport) -> str:
-    return f"{report.p},{report.n_total},{report.n_circulant},{report.n_connected}"
+    total, circulant, connected, _ = _count_strings(report)
+    return f"{report.p},{total},{circulant},{connected}"
 
 
 def _print_count_text(report: polya.CountReport) -> None:
+    total, circulant, connected, methods = _count_strings(report)
     print(f"p = {report.p}")
     print(f"aut_order = {report.aut_order}")
-    print(f"n_total = {report.n_total}")
-    print(f"n_circulant = {report.n_circulant}")
-    print(f"n_connected = {report.n_connected}")
-    for name, value in report.methods.items():
+    print(f"n_total = {total}")
+    print(f"n_circulant = {circulant}")
+    print(f"n_connected = {connected}")
+    for name, value in methods.items():
         print(f"method {name} = {value}")
 
 
+def _count_strings(report: polya.CountReport) -> tuple[str, str, str, dict[str, str]]:
+    """n_total, n_circulant, n_connected and the methods of a report as decimal
+    strings, converting each distinct number once: n_connected shares
+    n_total's leading digits, and a method equal to n_total reuses its string."""
+    total, connected = _shared_digits(report.n_total, report.n_connected)
+    methods = {
+        name: total if value == report.n_total else str(value)
+        for name, value in report.methods.items()
+    }
+    return total, str(report.n_circulant), connected, methods
+
+
+def _shared_digits(big: int, small: int) -> tuple[str, str]:
+    """str(big) and str(small) for 0 <= small <= big, converting the digits
+    they share once.
+
+    int-to-str costs time quadratic in the digits, and n_connected shares
+    about the leading half of n_total's digits (it is n_total - n_circulant^2
+    - 8, and n_circulant^2 has about half as many digits as n_total).
+    With k the digits of the gap big - small (at least 1), big = head * 10^k
+    + low, and small is head followed by low - gap in k digits, or, when
+    low < gap, head - 1 followed by 10^k + low - gap.  A head of 0 or 1
+    leaves nothing to share (the borrow would empty it), so both go through
+    str().  Only pieces shorter than the numbers are converted:
+    _check_printable is the length guard.
+    """
+    gap = big - small
+    k = max(_decimal_digits(gap), 1)
+    power = 10**k
+    head, low = divmod(big, power)
+    if head < 2:
+        return str(big), str(small)
+    text = small_head = str(head)
+    rest = low - gap
+    if rest < 0:  # borrow one from the head's last nonzero digit; head >= 2 keeps a digit
+        kept = text.rstrip("0")
+        small_head = f"{kept[:-1]}{int(kept[-1]) - 1}".lstrip("0") + "9" * (len(text) - len(kept))
+        rest += power
+    return f"{text}{low:0{k}d}", f"{small_head}{rest:0{k}d}"
+
+
 def _decimal_digits(n: int) -> int:
-    """Number of decimal digits of n > 0, without converting n to str."""
+    """Number of decimal digits of n > 0 (0 for n = 0), without converting n to str."""
     digits = int(n.bit_length() * log10(2)) + 1  # exact, or one too many
     return digits - (n < 10 ** (digits - 1))
 
@@ -257,22 +300,23 @@ def cmd_cycle_types(args) -> int:
     """One record per map in enumerate_aut order; the same text as rendering
     every closed_form_cycle_type, and in JSON the same bytes as
     json.dumps(records, indent=2).  A record is its run's label, beta and its
-    case's rendering; each case is rendered once, each run printed at once."""
+    case's rendering; each distinct type is rendered once, each run printed at once."""
     p = check_odd_prime(args.p)
     monomials, case = polya.closed_form_cycle_types(p)
-    types = [dict(t) for t in monomials]
+    distinct = dict.fromkeys(monomials)  # 4p cases share far fewer types
     if args.format == "json":
         # a cycle type sits two levels deep in the list of records
         label = '  {{\n    "family": "{}",\n    "alpha": {},\n    "beta": '
-        rendered = [
-            ',\n    "cycle_type": ' + json.dumps(t, indent=2).replace("\n", "\n    ") + "\n  }"
-            for t in types
-        ]
+        for t in distinct:
+            body = json.dumps(dict(t), indent=2).replace("\n", "\n    ")
+            distinct[t] = f',\n    "cycle_type": {body}\n  }}'
         head, sep, tail = "[\n", ",\n", "\n]"
     else:
         label = "{}({},"
-        rendered = ["): " + polya.render_cycle_type(t) for t in types]
+        for t in distinct:
+            distinct[t] = "): " + polya.render_cycle_type(dict(t))
         head, sep, tail = "", "\n", ""
+    rendered = [distinct[t] for t in monomials]
     n = 2 * p
     for i, (family, alpha) in enumerate(aut_blocks(p)):
         start = label.format(family, alpha)

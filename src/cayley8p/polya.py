@@ -80,7 +80,9 @@ class CycleIndexPoly:
         k = m.bit_length() - 1
         shift = m > 0 and m == 1 << k
         total = 0
-        for mono, w in self.weights.items():
+        # the closed form lists its largest terms first; adding the small ones
+        # first keeps the running sum short until the end
+        for mono, w in reversed(self.weights.items()):
             cycles = 0
             for _, e in mono:
                 cycles += e
@@ -206,9 +208,10 @@ def n_total(p: int) -> int:
         + (1 << ((p - 1) // 2)) * (-(1 << (3 * p + 1)) + (1 << (p + 3)) + (1 << (p + 2)))
     )
     # the four divisor sums over p - 1, in one pass: all d (coefficient 4),
-    # even d (8) and the two odd-d groups (2 and 4); q is even when d is odd
+    # even d (8) and the two odd-d groups (2 and 4); q is even when d is odd.
+    # Descending d adds the smallest terms, 2^(4q) with q = (p-1)/d, first.
     all_d = even_d = odd_d = odd_d2 = 0
-    for d in divisors(p - 1):
+    for d in reversed(divisors(p - 1)):
         phi = euler_phi(d)
         q = (p - 1) // d
         term = phi << 4 * q

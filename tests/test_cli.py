@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley8p import autos, cli, domain, group, kernels, modular, oracle, polya, verify
 from cayley8p.autos import Automorphism, aut_blocks, enumerate_aut
@@ -647,6 +650,141 @@ def test_cycle_index_digit_bound_never_refuses_a_printable_value(capsys):
                     claimed = int(err.split("at least ")[1].split()[0])
                     assert limit < claimed <= true_digits
         assert refused  # the bound itself was exercised
+
+
+ODD_PRIMES_BELOW_3571 = ",".join(str(p) for p in range(3, 3571) if is_odd_prime(p))
+
+
+@pytest.mark.parametrize(
+    "argv, length, digest",
+    [
+        (
+            ["table", "--p-list", ODD_PRIMES_BELOW_3571, "--format", "json"],
+            4296474,
+            "a7d16d0a28276946939337ae6f63800c988a93b39732c301e671dbf252fe128a",
+        ),
+        (
+            ["table", "--p-list", ODD_PRIMES_BELOW_3571, "--format", "text"],
+            4807865,
+            "0c5e51a590a760cddcb491d6310695c44f093c2fdec82314b1d6ba50aa245d3e",
+        ),
+        (
+            ["count", "--p", "3571", "--format", "text"],
+            18364,
+            "644e3aef63ac1487234c01ba22f051c64f0687eacc801c0a8ac722edba31778c",
+        ),
+        (
+            ["count", "--p", "3571", "--format", "json"],
+            18437,
+            "d4c239b43a791af7b5a586a77683ae8aef551fcc6678b3578dd2ece204efdacb",
+        ),
+        (
+            ["count", "--p", "3571", "--format", "csv"],
+            9700,
+            "f3995bdc5978289650e81b432bf3556522d3efa989f77f0a0e3692dc62aaa034",
+        ),
+        (
+            ["cycle-types", "--p", "101", "--format", "text"],
+            1070601,
+            "f0c2701fba366be5436e98c6fdc8212c43508555b90ffee8f6767d45e1d8c583",
+        ),
+        (
+            ["cycle-types", "--p", "101", "--format", "json"],
+            5221674,
+            "93ba3b680e3871d0f6863ab82688bc6a22b16db41dd25a2dfe7db53ea5cb0b63",
+        ),
+    ],
+    ids=["table-json", "table-text", "count-text", "count-json", "count-csv", "types-text", "types-json"],
+)
+def test_claimed_outputs_are_pinned(capsys, argv, length, digest):
+    """Byte for byte what each str() of each number printed; the table's CSV
+    is pinned in test_polya."""
+    status, out = run(capsys, *argv)
+    assert status == 0
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@st.composite
+def ordered_pairs(draw):
+    """0 <= small <= big, with gaps of every size up to big itself."""
+    big = draw(st.integers(min_value=0, max_value=10**400))
+    gap = draw(st.integers(0, big) | st.integers(0, 10**40).map(lambda g: min(g, big)))
+    return big, big - gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_pairs())
+def test_shared_digits_equal_str(pair):
+    big, small = pair
+    assert cli._shared_digits(big, small) == (str(big), str(small))
+
+
+@pytest.mark.parametrize(
+    "big, small",
+    [
+        (37, 29),  # head 3, low 7 < gap 8: one borrow
+        (2 * 10**96 + 3, 2 * 10**96 - 7),  # head 2 * 10^94, low 3 < gap 10: through the zeros
+        (10**33 + 1, 10**33 - 4),  # head 10^32 becomes 32 nines
+        (10**32 + 1, 5),  # head 1: a borrow would leave no head and pad 5 with zeros
+        (10**70 + 5, 10**70 + 5),  # a gap of 0
+        (10**70 + 5, 0),  # a gap as large as big: head 0
+    ],
+    ids=["borrow", "borrow-through-zeros", "borrow-shortens-head", "head-1", "gap-0", "gap-big"],
+)
+def test_shared_digits_cover_the_borrow_and_the_fallback(big, small):
+    """The cases the docstring names, each taken on purpose; big splits at
+    the gap's digits.  188 rows of the 498-prime table borrow as well."""
+    assert cli._shared_digits(big, small) == (str(big), str(small))
+
+
+def test_shared_digits_beyond_the_str_limit():
+    """With the limit lifted, numbers far longer than 4300 digits split too."""
+    big = 7 * 10**5000 + 123456789
+    small = big - 10**2500 - 5
+    got = _with_int_max_str_digits(0, lambda: cli._shared_digits(big, small))
+    assert got == _with_int_max_str_digits(0, lambda: (str(big), str(small)))
+    assert len(got[0]) == 5001
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_method_that_differs_from_n_total_prints_its_own_digits(capsys, monkeypatch, fmt):
+    original = polya.count_report
+
+    def off_by_one(p):
+        report = original(p)
+        return polya.CountReport(
+            **vars(report) | {"methods": report.methods | {"cycle_index_eval": report.n_total + 1}}
+        )
+
+    monkeypatch.setattr(polya, "count_report", off_by_one)
+    status, out = run(capsys, "count", "--p", "13", "--format", fmt)
+    assert status == 0
+    if fmt == "json":
+        assert json.loads(out)["methods"] == {
+            "closed_form": "7330997009984",
+            "cycle_index_eval": "7330997009985",
+        }
+    else:
+        assert "method closed_form = 7330997009984\n" in out
+        assert "method cycle_index_eval = 7330997009985\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cycle_types_renders_each_distinct_type_once(capsys, monkeypatch, fmt):
+    """p = 101 has 404 cases but 28 distinct cycle types."""
+    calls = []
+    if fmt == "json":
+        original = cli.json.dumps
+        monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: calls.append(a) or original(*a, **k))
+    else:
+        original = polya.render_cycle_type
+        monkeypatch.setattr(polya, "render_cycle_type", lambda t: calls.append(t) or original(t))
+    status, out = run(capsys, "cycle-types", "--p", "101", "--format", fmt)
+    assert status == 0
+    assert len(calls) == 28
+    if fmt == "text":
+        assert len(out.splitlines()) == 40400
 
 
 def _patch_every_binding(monkeypatch, original, replacement):
