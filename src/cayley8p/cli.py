@@ -23,9 +23,10 @@ needs it: verify (through build_verification_report) and cycle-index
 without --eval (through the brute-force cycle index it compares with).
 
 cycle-types reads the closed-form cycle types as one monomial per case
-and each map's case (polya.closed_form_cycle_types), renders each distinct
-type once and prints one run of 2p records (autos.aut_blocks) at a time, so
-its memory does not grow with the output.
+and each map's case in two bytes (polya.closed_form_cycle_types), renders
+each distinct type once and prints one run of 2p records (autos.aut_blocks)
+at a time, so apart from those two bytes a map its memory does not grow
+with the output.
 """
 
 import argparse

@@ -22,15 +22,21 @@ and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
 Both formulas sum one integer numerator over their common denominator
 and divide once.  All arithmetic is exact; results are unbounded integers.
 
+The closed-form cycle index is cached for one p only: count_report builds,
+validates and evaluates it at every p of a table, and verify reads it again
+at the same p, so a table holds one polynomial, not one per prime.
+
 Cycle types:  closed_form_cycle_type is the case analysis for one map;
-closed_form_cycle_types runs it once per case and gives each map's case,
-as domain.cycle_types gives the genuine types that verify compares them with.
+closed_form_cycle_types runs it once per (family, order of alpha, beta case)
+and gives each map's case in two bytes, as domain.cycle_types gives the
+genuine types that verify compares them with.
 
 Everything here but cycle_index_bruteforce is stdlib only, so count, table,
 cycle-index --eval and cycle-types run without numpy; the brute-force cycle
 index imports domain (and numpy with it) when first called.
 """
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,8 +105,10 @@ class CycleIndexPoly:
 def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
     """Weights in units of 1/|Aut|: positive, of weighted degree 4p, summing to |Aut|.
 
-    The weights are stored read-only: both builders are cached, so a
-    caller's write would otherwise change every later count at that p.
+    Both builders call it on every polynomial they build, so the closed
+    form is validated at every p it is built for, although its cache keeps
+    only the last p.  The weights are stored read-only: both builders are
+    cached, so a caller's write would otherwise change later counts at that p.
     """
     aut_order = 4 * p * (p - 1)
     cleaned = {}
@@ -142,7 +150,7 @@ def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
     return _validate(p, weights)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # the p being worked on: count_report, then verify at the same p
 def cycle_index_closed_form(p: int) -> CycleIndexPoly:
     """Assemble the closed-form expression term by term.
 
@@ -362,31 +370,46 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def closed_form_cycle_types(p: int) -> tuple[tuple[Monomial, ...], tuple[int, ...]]:
+def closed_form_cycle_types(p: int) -> tuple[tuple[Monomial, ...], memoryview]:
     """closed_form_cycle_type of every enumerated map, one monomial per case.
 
     The case analysis reads beta only through which of {0, p, other even,
     other odd} it is, and for alpha != 1 only through its parity, so the
-    4p(p-1) maps fall into 4p cases and it runs once per case on a
-    representative map.  Returns (types, case) laid out as
-    domain.cycle_types(p): one monomial per case, and each map's case, in
-    enumerate_aut order.  A p whose classes outgrow int16 is refused, as in domain.
+    4p(p-1) maps fall into 4p cases.  It reads alpha only through its order
+    o, so it runs once per (family, o, beta case) on a representative map:
+    2(4 + 2(t - 1)) calls, with t the number of divisors of p - 1 (36 at
+    p = 31), and the order of each alpha is worked out once.
+
+    Returns (types, case) laid out as domain.cycle_types(p): one monomial per
+    case, and each map's case, in enumerate_aut order, as a read-only
+    memoryview of native unsigned shorts (format "H"), two bytes a map,
+    written one (family, alpha) block at a time into one bytearray.  A p
+    whose classes outgrow int16 is refused, as in domain.
     """
     check_odd_prime(p)
     _check_int16_classes(p)
-    # alpha = 1: representatives (other even, other odd, 0, p), picked by the
-    # parity of beta, or 2 and 3 for the two special shifts
-    special = [b % 2 for b in range(2 * p)]
-    special[0], special[p] = 2, 3
+    n = 2 * p
+    blocks = aut_blocks(p)
+    orders = {alpha: mult_order(alpha, n) for alpha in dict.fromkeys(a for _, a in blocks)}
+    by_class: dict[tuple[str, int, int], Monomial] = {}
     types: list[Monomial] = []
-    case: list[int] = []
-    for family, alpha in aut_blocks(p):
+    buffer = bytearray(2 * n * len(blocks))
+    case = memoryview(buffer).cast("H")
+    for i, (family, alpha) in enumerate(blocks):
         base = len(types)
-        case += [base + c for c in special] if alpha == 1 else (base, base + 1) * p
+        # alpha = 1: representatives (other even, other odd, 0, p); the others by parity
         for beta in (2, 1, 0, p) if alpha == 1 else (0, 1):
-            f = Automorphism(p, family, alpha, beta)
-            types.append(monomial_from_cycle_type(closed_form_cycle_type(f)))
-    return tuple(types), tuple(case)
+            key = (family, orders[alpha], beta)
+            if key not in by_class:
+                f = Automorphism(p, family, alpha, beta)
+                by_class[key] = monomial_from_cycle_type(closed_form_cycle_type(f))
+            types.append(by_class[key])
+        # cases base, base + 1 by the parity of beta; alpha = 1 moves 0 and p to 2 and 3
+        pair = base.to_bytes(2, sys.byteorder) + (base + 1).to_bytes(2, sys.byteorder)
+        buffer[2 * i * n : 2 * (i + 1) * n] = pair * p
+        if alpha == 1:
+            case[i * n], case[i * n + p] = base + 2, base + 3
+    return tuple(types), case.toreadonly()
 
 
 # ---------- rendering ----------

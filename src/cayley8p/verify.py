@@ -103,7 +103,9 @@ def build_verification_report(p: int, level: str) -> VerificationReport:
 
     # formula claim vs oracle decomposition: disagreements are reported, not fatal;
     # the maps are compared once per distinct (genuine type, case) pair
-    pairs, maps = np.unique(ids * len(claimed) + np.array(case), return_counts=True)
+    pairs, maps = np.unique(
+        ids * len(claimed) + np.frombuffer(case, dtype=np.uint16), return_counts=True
+    )
     type_of, case_of = np.divmod(pairs, len(claimed))
     differ = [genuine[i] != claimed[j] for i, j in zip(type_of.tolist(), case_of.tolist())]
     mismatches = int(maps[differ].sum())
@@ -112,6 +114,17 @@ def build_verification_report(p: int, level: str) -> VerificationReport:
         mismatches == 0,
         f"{mismatches} mismatches over {len(ids)} automorphisms",
         when_bad="flagged",
+    )
+    # acceptance criterion 4: the claim is off on 4p(p-1-m) maps, m the odd part
+    # of p - 1; a relabelling of the per-map types, which no count sees, moves it
+    odd = p - 1
+    while odd % 2 == 0:
+        odd //= 2
+    expected = 4 * p * (p - 1 - odd)
+    add(
+        "mismatch_count_vs_expected",
+        mismatches == expected,
+        f"{mismatches} mismatches vs expected 4p(p-1-m) = {expected}, m = {odd}",
     )
 
     closed = polya.cycle_index_closed_form(p)

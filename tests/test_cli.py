@@ -28,6 +28,7 @@ from cayley8p.polya import closed_form_cycle_type, cycle_index_bruteforce, n_tot
 QUICK_CHECKS = [
     "automorphism_count",
     "cycle_types_closed_vs_brute",
+    "mismatch_count_vs_expected",
     "cycle_index_paths",
     "cycle_index_at_one",
     "cycle_index_at_one_bruteforce",
@@ -164,7 +165,7 @@ def test_verify_quick_text(capsys):
         "cycle_index_paths",
         "burnside_vs_closed_form",
     }
-    assert "result: 7 checks, 3 flagged, 0 failed" in out
+    assert "result: 8 checks, 3 flagged, 0 failed" in out
 
 
 def test_verify_full_json(capsys):
@@ -198,7 +199,7 @@ def test_verify_full_json(capsys):
 def test_verify_full_p5_exits_zero(capsys):
     status, out = run(capsys, "verify", "--p", "5", "--level", "full")
     assert status == 0
-    assert "result: 14 checks, 7 flagged, 0 failed" in out
+    assert "result: 15 checks, 7 flagged, 0 failed" in out
 
 
 def test_verify_workers_do_not_change_output(capsys):
@@ -838,7 +839,9 @@ def test_verify_runs_the_closed_form_case_analysis_once_per_case(monkeypatch):
     _patch_every_binding(monkeypatch, original, counted)
     polya.closed_form_cycle_types.cache_clear()
     report = build_verification_report(31, "quick")
-    assert len(calls) == 4 * 31
+    # once per (family, order of alpha, beta case): p - 1 = 30 has 8 divisors,
+    # the order 1 has four beta cases and each of the other 7 orders two
+    assert len(calls) == 2 * (4 + 2 * 7) == 36
     # 4p(p-1-m) mismatches, m = 15 the odd part of p - 1 (acceptance criterion 4)
     details = {c.name: c.details for c in report.checks}
     assert details["cycle_types_closed_vs_brute"] == "1860 mismatches over 3720 automorphisms"

@@ -254,6 +254,47 @@ def test_table_csv_is_pinned(capsys):
     )
 
 
+ODD_PRIMES_BELOW_600 = [p for p in ODD_PRIMES_BELOW_3571 if p < 600]
+
+
+def test_table_keeps_one_closed_form_cycle_index(capsys):
+    """count_report builds the closed form at every p of a table; the cache
+    keeps the last one, not one polynomial per prime."""
+    cycle_index_closed_form.cache_clear()
+    p_list = ",".join(map(str, ODD_PRIMES_BELOW_600))
+    assert cli.main(["table", "--p-list", p_list, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == len(ODD_PRIMES_BELOW_600) + 1
+    info = cycle_index_closed_form.cache_info()
+    assert info.misses == len(ODD_PRIMES_BELOW_600)
+    assert info.currsize <= 1
+
+
+def test_table_validates_the_closed_form_at_every_prime(capsys, monkeypatch):
+    """One closed-form term of a middle prime given the wrong weighted degree
+    stops the table: the bounded cache does not skip _validate at any p."""
+    planted = ODD_PRIMES_BELOW_600[len(ODD_PRIMES_BELOW_600) // 2]
+    validate = polya._validate
+
+    def shifted(p, weights):
+        if p == planted:
+            *rest, (mono, w) = weights.items()
+            (k, e), *others = mono
+            weights = dict(rest) | {((k, e + 1), *others): w}  # one more x_k
+        return validate(p, weights)
+
+    monkeypatch.setattr(polya, "_validate", shifted)
+    cycle_index_closed_form.cache_clear()
+    p_list = ",".join(map(str, ODD_PRIMES_BELOW_600))
+    try:
+        assert cli.main(["table", "--p-list", p_list, "--format", "csv"]) == 1
+    finally:
+        cycle_index_closed_form.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal inconsistency: monomial ")
+    assert f"has weighted degree != {4 * planted}" in captured.err
+
+
 def test_count_report_defaults():
     r = count_report(3)
     assert (r.p, r.aut_order) == (3, 24)

@@ -1,11 +1,12 @@
 """The claimed-vs-genuine record, the three outputs rendered from it, and
 the input `build_verification_report` refuses."""
 
+import numpy as np
 import pytest
 
-from cayley8p import polya
+from cayley8p import domain, oracle, polya, verify
 from cayley8p.autos import enumerate_aut
-from cayley8p.cli import _report_json
+from cayley8p.cli import _report_json, main
 from cayley8p.domain import build_domain, cycle_type_of, induced_permutation
 from cayley8p.polya import closed_form_cycle_type, count_report
 from cayley8p.verify import Comparison, build_verification_report
@@ -68,6 +69,34 @@ def test_mismatch_count_equals_a_per_map_scalar_count(p):
     assert details["cycle_types_closed_vs_brute"] == (
         f"{scalar} mismatches over {4 * p * (p - 1)} automorphisms"
     )
+
+
+def test_a_relabelling_of_the_genuine_types_fails_verify(capsys, monkeypatch):
+    """The defect matrix's second row: tau's b <-> b^3 swap dropped gives
+    tau(alpha, beta) the genuine type of tau(alpha, beta + p).  Every count
+    keeps its value, but the mismatch count leaves 4p(p-1-m)."""
+    genuine = domain.cycle_types
+
+    def relabelled(p):
+        types, ids = genuine(p)
+        blocks = ids.reshape(-1, 2 * p).copy()
+        blocks[p - 1 :] = np.roll(blocks[p - 1 :], p, axis=1)  # the tau blocks
+        return types, blocks.ravel()
+
+    for module in (domain, oracle, verify):
+        monkeypatch.setattr(module, "cycle_types", relabelled)
+    polya.cycle_index_bruteforce.cache_clear()  # built from the relabelled types
+    try:
+        assert main(["verify", "--p", "31"]) == 1
+    finally:
+        polya.cycle_index_bruteforce.cache_clear()
+    out = capsys.readouterr().out
+    # 2790, as with the swap dropped from domain._induced_blocks itself
+    assert (
+        "FAIL mismatch_count_vs_expected: 2790 mismatches vs expected 4p(p-1-m) = 1860, m = 15\n"
+    ) in out
+    assert "PASS burnside_vs_bruteforce_cycle_index" in out
+    assert out.endswith("result: 8 checks, 3 flagged, 1 failed\n")
 
 
 def _no_work(p):
