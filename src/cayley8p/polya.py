@@ -22,9 +22,11 @@ and n_connected subtracts the disconnected bookkeeping n_circulant^2 + 8.
 Both formulas sum one integer numerator over their common denominator
 and divide once.  All arithmetic is exact; results are unbounded integers.
 
-The closed-form cycle index is cached for one p only: count_report builds,
-validates and evaluates it at every p of a table, and verify reads it again
-at the same p, so a table holds one polynomial, not one per prime.
+Both cycle indices and the closed-form cycle types are cached for one p
+only.  count_report builds, validates and evaluates the closed form at every
+p of a table, and verify reads it again at the same p, so a table holds one
+polynomial, not one per prime; a process that moves on to another p frees
+the last p's brute-force index and per-map cases before it builds the next.
 
 Cycle types:  closed_form_cycle_type is the case analysis for one map;
 closed_form_cycle_types runs it once per (family, order of alpha, beta case)
@@ -130,7 +132,7 @@ def _validate(p: int, weights: dict[Monomial, int]) -> CycleIndexPoly:
     return CycleIndexPoly(p, aut_order, MappingProxyType(cleaned))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def cycle_index_bruteforce(p: int) -> CycleIndexPoly:
     """Average the monomials of the decomposed induced permutations.
 
@@ -369,7 +371,7 @@ def closed_form_cycle_type(f: Automorphism) -> dict[int, int]:
     return counts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def closed_form_cycle_types(p: int) -> tuple[tuple[Monomial, ...], memoryview]:
     """closed_form_cycle_type of every enumerated map, one monomial per case.
 

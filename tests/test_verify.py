@@ -12,6 +12,31 @@ from cayley8p.polya import closed_form_cycle_type, count_report
 from cayley8p.verify import Comparison, build_verification_report
 
 
+def test_quick_reports_keep_the_state_of_one_p():
+    """After a quick report at 31 and then at 37 every cache the report reads
+    holds 37 alone, so 31's arrays are gone; a second report at 37 builds
+    nothing again.  induced_permutations, which no report reads, is bounded
+    to one p as well."""
+    caches = (
+        domain.class_members,
+        domain.class_table,
+        domain.induced_halves,
+        domain.cycle_types,
+        polya.cycle_index_bruteforce,
+        polya.cycle_index_closed_form,
+        polya.closed_form_cycle_types,
+    )
+    for cached in caches:
+        cached.cache_clear()
+    for p in (31, 37):
+        assert not build_verification_report(p, "quick").failed
+    infos = [cached.cache_info() for cached in caches]
+    assert [(info.maxsize, info.currsize) for info in infos] == [(1, 1)] * len(infos)
+    assert not build_verification_report(37, "quick").failed
+    assert [cached.cache_info().misses for cached in caches] == [i.misses for i in infos]
+    assert domain.induced_permutations.cache_info().maxsize == 1
+
+
 def test_comparison_flags_disagreeing_routes():
     report = build_verification_report(3, "full")
     assert report.comparisons == [
